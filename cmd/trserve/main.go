@@ -65,7 +65,7 @@ func main() {
 		artPath     = flag.String("artifact", "", "serve a saved model (.trq artifact or gob snapshot, sniffed) instead of training the demo model; also the /v1/reload source")
 		swapEvery   = flag.Duration("swap-every", 250*time.Millisecond, "selfload: hot-swap interval of the zero-downtime phase")
 		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max images per dispatched micro-batch")
-		maxDelay    = flag.Duration("max-delay", serve.DefaultMaxDelay, "max wait for a micro-batch to fill")
+		maxDelay    = flag.Duration("max-delay", serve.DefaultMaxDelay, "max wait for a micro-batch to fill, counted from its oldest request's admission")
 		queueCap    = flag.Int("queue-cap", serve.DefaultQueueCap, "admission queue bound; overflow sheds with 429")
 		batchWork   = flag.Int("batch-workers", 1, "batch-level inference parallelism inside one dispatch (<1 = GOMAXPROCS)")
 		workers     = flag.Int("workers", 1, "replicated batch workers consuming the admission queue (<1 = GOMAXPROCS)")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -59,55 +60,125 @@ func newFamilyServer(t *testing.T, mutate func(*Config)) *Server {
 	return s
 }
 
-// TestMixedBudgetsBatchHomogeneously pre-queues an alternating 4/12
-// budget stream and checks the scheduler cuts exactly two full
-// same-budget batches: mixed arrivals cost extra dispatches, never a
-// mixed batch.
+// TestMixedBudgetsBatchHomogeneously pre-queues request streams and
+// checks the scheduler cuts exactly the full same-budget batches they
+// allow: mixed arrivals cost extra dispatches and parked requests, never
+// a mixed batch. The 1 ns MaxDelay cases start every batch with its
+// window already lapsed, so they pin that queued requests still board
+// before the lapsed window closes the batch.
 func TestMixedBudgetsBatchHomogeneously(t *testing.T) {
 	_, images := testFamily(t)
-	s := newFamilyServer(t, nil)
-
-	const n = 16
-	deadline := time.Now().Add(5 * time.Second)
-	reqs := make([]*request, n)
-	for i := range reqs {
-		budget := 4
+	alternating := make([]int, 16)
+	for i := range alternating {
+		alternating[i] = 4
 		if i%2 == 1 {
-			budget = 12
+			alternating[i] = 12
 		}
-		r, err := s.submit(images[i%len(images)], deadline, budget)
+	}
+	for _, tc := range []struct {
+		name        string
+		maxDelay    time.Duration
+		budgets     []int
+		wantBatches int64
+		wantParked  int64
+	}{
+		// Batch one takes the 4s and parks the 12s it passes on the way
+		// (7: the last 12 is still queued when the batch fills).
+		{"alternating", time.Millisecond, alternating, 2, 7},
+		{"lapsed same-budget", time.Nanosecond, []int{4, 4, 4, 4, 4, 4, 4, 4}, 1, 0},
+		{"lapsed alternating", time.Nanosecond, alternating, 2, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newFamilyServer(t, func(c *Config) { c.MaxDelay = tc.maxDelay })
+			deadline := time.Now().Add(5 * time.Second)
+			reqs := make([]*request, len(tc.budgets))
+			for i, budget := range tc.budgets {
+				r, err := s.submit(images[i%len(images)], deadline, budget)
+				if err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+				reqs[i] = r
+			}
+			s.startScheduler()
+			served := map[int]int64{}
+			for i, r := range reqs {
+				resp := <-r.done
+				if resp.err != nil {
+					t.Fatalf("request %d: %v", i, resp.err)
+				}
+				if resp.budget != tc.budgets[i] {
+					t.Errorf("request %d served at budget %d, want %d", i, resp.budget, tc.budgets[i])
+				}
+				if resp.degraded {
+					t.Errorf("request %d flagged degraded with the policy disengaged", i)
+				}
+				if resp.batch != s.cfg.MaxBatch {
+					t.Errorf("request %d rode a batch of %d, want a full same-budget batch of %d",
+						i, resp.batch, s.cfg.MaxBatch)
+				}
+				served[tc.budgets[i]]++
+			}
+			st := s.Stats()
+			if st.Batches != tc.wantBatches || st.BatchImages != int64(len(reqs)) {
+				t.Errorf("stats: %d batches / %d images, want %d / %d",
+					st.Batches, st.BatchImages, tc.wantBatches, len(reqs))
+			}
+			if st.Parked != tc.wantParked {
+				t.Errorf("Parked = %d, want %d", st.Parked, tc.wantParked)
+			}
+			var exposition bytes.Buffer
+			if err := s.cfg.Obs.WritePrometheus(&exposition); err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("trq_serve_budget_parked_total %d\n", tc.wantParked); !strings.Contains(exposition.String(), want) {
+				t.Errorf("/metrics lacks %q", want)
+			}
+			for b, n := range served {
+				if st.BudgetServed[b] != n {
+					t.Errorf("BudgetServed = %v, want %d at budget %d", st.BudgetServed, n, b)
+				}
+			}
+		})
+	}
+}
+
+// TestParkedRequestWaitsOneWindow pins where the batching window starts:
+// at the admission of the batch's oldest member. A budget-12 request
+// parked behind a budget-4 batch has already sat out that batch's
+// MaxDelay, so it must not wait a second full MaxDelay of its own.
+// Timers never fire early, so counting the window from when the worker
+// picks the request up would make its wait at least 2×MaxDelay.
+func TestParkedRequestWaitsOneWindow(t *testing.T) {
+	_, images := testFamily(t)
+	const maxDelay = 200 * time.Millisecond
+	s := newFamilyServer(t, func(c *Config) { c.MaxDelay = maxDelay })
+	deadline := time.Now().Add(5 * time.Second)
+	var reqs []*request
+	for _, budget := range []int{4, 12} {
+		r, err := s.submit(images[0], deadline, budget)
 		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+			t.Fatal(err)
 		}
-		reqs[i] = r
+		reqs = append(reqs, r)
 	}
 	s.startScheduler()
+	var parkedWait time.Duration
 	for i, r := range reqs {
 		resp := <-r.done
 		if resp.err != nil {
 			t.Fatalf("request %d: %v", i, resp.err)
 		}
-		want := 4
-		if i%2 == 1 {
-			want = 12
+		if resp.budget != r.budget || resp.batch != 1 {
+			t.Errorf("request %d served at budget %d in a batch of %d, want %d in a batch of 1",
+				i, resp.budget, resp.batch, r.budget)
 		}
-		if resp.budget != want {
-			t.Errorf("request %d served at budget %d, want %d", i, resp.budget, want)
-		}
-		if resp.degraded {
-			t.Errorf("request %d flagged degraded with the policy disengaged", i)
-		}
-		if resp.batch != s.cfg.MaxBatch {
-			t.Errorf("request %d rode a batch of %d, want a full same-budget batch of %d",
-				i, resp.batch, s.cfg.MaxBatch)
-		}
+		parkedWait = resp.wait
 	}
-	st := s.Stats()
-	if st.Batches != 2 || st.BatchImages != n {
-		t.Errorf("stats: %d batches / %d images, want 2 / %d", st.Batches, st.BatchImages, n)
+	if parkedWait >= 2*maxDelay {
+		t.Errorf("parked request waited %v, want under 2×MaxDelay = %v", parkedWait, 2*maxDelay)
 	}
-	if st.BudgetServed[4] != n/2 || st.BudgetServed[12] != n/2 {
-		t.Errorf("BudgetServed = %v, want %d at each of 4 and 12", st.BudgetServed, n/2)
+	if st := s.Stats(); st.Parked != 1 {
+		t.Errorf("Parked = %d, want 1", st.Parked)
 	}
 }
 

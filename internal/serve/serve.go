@@ -2,10 +2,12 @@
 // intinfer.Plan. Requests are admitted into a bounded queue (full queue
 // = load shed, never unbounded memory), a pool of Workers replicated
 // batch workers consumes it — each worker collects micro-batches of up
-// to MaxBatch images, or whatever has arrived when MaxDelay lapses —
-// and dispatches each batch through the plan's context-aware batch
-// path, so the amortized term-encoding and arena reuse the batch
-// runtime was built for also pays off at serving time. Workers are
+// to MaxBatch images, or whatever has arrived when MaxDelay has lapsed
+// since the batch's oldest member was admitted (queued requests board
+// before a lapsed window closes the batch) — and dispatches each batch
+// through the plan's context-aware batch path, so the amortized
+// term-encoding and arena reuse the batch runtime was built for also
+// pays off at serving time. Workers are
 // fully independent replicas: each owns its carry list and delay timer
 // and draws its scratch from the plan's per-P-sharded sync.Pool, so W
 // workers keep W int8 GEMM lanes busy on a GOMAXPROCS ≥ W box without
@@ -100,8 +102,11 @@ type Config struct {
 
 	// MaxBatch caps how many requests one dispatch carries.
 	MaxBatch int
-	// MaxDelay bounds how long the scheduler waits for a batch to
-	// fill once it holds at least one request.
+	// MaxDelay bounds how long a batch may wait to fill, counted from
+	// the admission of its oldest member — not from when the worker
+	// picks it up — so a request parked behind another budget's batch,
+	// or queued while the worker was busy, waits one MaxDelay, not two.
+	// Requests already queued board before a lapsed window closes.
 	MaxDelay time.Duration
 	// QueueCap bounds the admission queue; a full queue sheds.
 	QueueCap int
@@ -173,7 +178,7 @@ type request struct {
 type metrics struct {
 	ok, shed, timeout, failed, draining *obs.Counter
 	batches, batchImages                *obs.Counter
-	degraded                            *obs.Counter
+	degraded, parked                    *obs.Counter
 	served                              map[int]*obs.Counter // per-rung, family servers only
 	queueDepth                          *obs.Gauge
 	degradeActive                       *obs.Gauge
@@ -244,7 +249,9 @@ func newMetrics(r *obs.Registry, cfg Config) metrics {
 		r.Help("trq_serve_budget_degraded_total", "admissions stepped down one budget rung by the degradation policy")
 		r.Help("trq_serve_budget_degrade_active", "1 while the degradation policy is engaged (queue depth crossed the watermark)")
 		r.Help("trq_serve_budget_served_total", "requests answered ok by the TR group budget they ran at")
+		r.Help("trq_serve_budget_parked_total", "requests parked on a worker's carry list because their budget differed from the batch being collected")
 		m.degraded = r.Counter("trq_serve_budget_degraded_total")
+		m.parked = r.Counter("trq_serve_budget_parked_total")
 		m.degradeActive = r.Gauge("trq_serve_budget_degrade_active")
 		m.served = make(map[int]*obs.Counter)
 		for _, b := range cfg.Family.Budgets() {
@@ -654,15 +661,18 @@ func (s *Server) submit(img []float32, deadline time.Time, budget int) (*request
 }
 
 // worker is one replica of the scheduler loop: block for the first
-// request, collect until the batch is full or MaxDelay lapses,
-// dispatch, repeat. Batches are budget-homogeneous: requests at a
-// different budget than the batch under construction are parked on the
-// worker's own carry list and seed its next rounds, so a mixed stream
-// costs extra dispatches, never a mixed batch. Workers share nothing
-// but the queue channel itself (an MPMC-safe receive) — carry list and
-// delay timer are worker-local, and each dispatch draws scratch from
-// the plan's sync.Pool, which shards per P. A closed queue (Drain)
-// still yields its buffered requests before ok goes false — the
+// request, collect until the batch is full or MaxDelay has lapsed since
+// the batch's oldest member was admitted, dispatch, repeat. Batches are
+// budget-homogeneous: requests at a different budget than the batch
+// under construction are parked on the worker's own carry list and seed
+// its next rounds, so a mixed stream costs extra dispatches, never a
+// mixed batch — and because the window counts from admission, a parked
+// request whose MaxDelay already ran out while it waited is dispatched
+// with whatever is queued at its budget, without a second wait. Workers
+// share nothing but the queue channel itself (an MPMC-safe receive) —
+// carry list and delay timer are worker-local, and each dispatch draws
+// scratch from the plan's sync.Pool, which shards per P. A closed queue
+// (Drain) still yields its buffered requests before ok goes false — the
 // runtime distributes them across however many workers are receiving —
 // and the outer loop keeps dispatching until the carry list is empty
 // too, so the flush is part of the same loop on every replica.
@@ -692,10 +702,17 @@ func (s *Server) worker(id int) {
 
 // collect grows a budget-homogeneous batch around its first member: up
 // to MaxBatch same-budget requests, or whatever has arrived when the
-// MaxDelay timer fires. Previously parked requests are adopted first;
-// arrivals at another budget are parked and returned as the new carry
-// list. Parking is bounded by QueueCap — past that, collect stops
-// early so the parked work drains before more piles up.
+// batch's window closes. The window is MaxDelay counted from first's
+// admission — first is the batch's oldest member, since the carry list
+// and the queue both hold requests in arrival order — so a request that
+// sat parked through another budget's batch, or queued while the worker
+// was busy, does not wait a second full MaxDelay. Once the window has
+// lapsed no wait is armed: collect takes what is already queued and
+// returns. Queued requests always board before a lapsed window closes
+// the batch. Previously parked requests are adopted first; arrivals at
+// another budget are parked and returned as the new carry list.
+// Parking is bounded by QueueCap — past that, collect stops early so
+// the parked work drains before more piles up.
 func (s *Server) collect(first *request, carry []*request, timer *time.Timer) (batch, parked []*request) {
 	b := first.budget
 	batch = []*request{first}
@@ -710,7 +727,8 @@ func (s *Server) collect(first *request, carry []*request, timer *time.Timer) (b
 	if len(batch) >= s.cfg.MaxBatch {
 		return batch, parked
 	}
-	timer.Reset(s.cfg.MaxDelay)
+	end := first.enqueued.Add(s.cfg.MaxDelay)
+	armed := false
 	defer func() {
 		if !timer.Stop() {
 			select { // drain a fired-but-unread timer for reuse
@@ -720,23 +738,43 @@ func (s *Server) collect(first *request, carry []*request, timer *time.Timer) (b
 		}
 	}()
 	for len(batch) < s.cfg.MaxBatch {
+		var r *request
+		var ok bool
 		select {
 		//trlint:checked lock-free receive by design: collect runs on a worker goroutine; channel receives are MPMC-safe and mu only orders sends against close
-		case r, ok := <-s.queue:
-			if !ok {
-				return batch, parked // draining: flush what we hold
+		case r, ok = <-s.queue:
+		default:
+			// Nothing queued: wait out whatever is left of the window.
+			wait := time.Until(end)
+			if wait <= 0 {
+				return batch, parked
 			}
-			if r.budget != b {
-				parked = append(parked, r)
-				if len(parked) >= s.cfg.QueueCap {
-					return batch, parked
-				}
+			if !armed {
+				timer.Reset(wait)
+				armed = true
+			}
+			select {
+			//trlint:checked lock-free receive by design: collect runs on a worker goroutine; channel receives are MPMC-safe and mu only orders sends against close
+			case r, ok = <-s.queue:
+			case <-timer.C:
+				// Go back to the non-blocking receive: a request that
+				// arrived as the timer fired still boards.
+				armed = false
 				continue
 			}
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch, parked
 		}
+		if !ok {
+			return batch, parked // draining: flush what we hold
+		}
+		if r.budget != b {
+			parked = append(parked, r)
+			s.met.parked.Inc()
+			if len(parked) >= s.cfg.QueueCap {
+				return batch, parked
+			}
+			continue
+		}
+		batch = append(batch, r)
 	}
 	return batch, parked
 }
@@ -864,10 +902,13 @@ type Stats struct {
 	InflightBatches int64
 	WorkersBusy     int64
 	WorkerBatches   []int64
-	// Degraded counts admissions stepped down a rung; BudgetServed maps
-	// each ladder rung to the requests answered ok at it. Both are zero /
-	// nil on a single-plan server.
+	// Degraded counts admissions stepped down a rung; Parked counts
+	// requests parked on a carry list because their budget differed from
+	// the batch being collected; BudgetServed maps each ladder rung to the
+	// requests answered ok at it. All are zero / nil on a single-plan
+	// server.
 	Degraded     int64
+	Parked       int64
 	BudgetServed map[int]int64
 	// Reloads / ReloadErrors count hot-swap attempts by outcome.
 	Reloads      int64
@@ -886,6 +927,7 @@ func (s *Server) Stats() Stats {
 		BatchImages: s.met.batchImages.Value(),
 		QueueDepth:  s.met.queueDepth.Value(),
 		Degraded:    s.met.degraded.Value(),
+		Parked:      s.met.parked.Value(),
 
 		InflightImages:  s.inflight.Load(),
 		InflightBatches: s.met.inflightBatches.Value(),

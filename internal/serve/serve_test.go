@@ -386,6 +386,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %q", fam)
 		}
 	}
+	if strings.Contains(metrics, "trq_serve_budget_") {
+		t.Error("single-plan /metrics exports budget families that can only read zero")
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

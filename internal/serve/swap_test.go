@@ -26,10 +26,11 @@ func TestSwapUnderLoadDropsNothing(t *testing.T) {
 	s.startScheduler()
 	defer s.Drain(context.Background())
 
-	stop := make(chan struct{})
+	stop, swapperDone := make(chan struct{}), make(chan struct{})
 	var swaps atomic.Int64
 	var swapErr atomic.Pointer[error]
 	go func() {
+		defer close(swapperDone)
 		for i := 1; ; i++ {
 			select {
 			case <-stop:
@@ -71,6 +72,10 @@ func TestSwapUnderLoadDropsNothing(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
+	// Join the swapper before comparing versions: Swap flips the model
+	// pointer before the swapper counts it, so an unjoined read can see
+	// one version more than swaps reports.
+	<-swapperDone
 	if p := reqErr.Load(); p != nil {
 		t.Fatalf("request failed under hot-swap: %v", *p)
 	}
