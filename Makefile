@@ -11,7 +11,8 @@
 #                over every module package (DESIGN.md §8 and §13)
 #   make lint-json  same gate, findings as a JSON array on stdout (CI
 #                artifacts and editor tooling)
-#   make bench   integer-inference benchmarks + results/BENCH_intinfer.json
+#   make bench   integer-inference and cold family-compile benchmarks
+#                + results/BENCH_intinfer.json
 #   make benchcmp  re-measure and diff ns_per_image against the committed
 #                baseline; fails on a >10% regression on any benchmark
 #   make tier1-noasm  tier1 with the assembly kernels compiled out
@@ -80,7 +81,7 @@ lint-json:
 	$(GO) run ./cmd/trlint -json ./...
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkIntegerInference' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkIntegerInference|BenchmarkFamilyBuild' -benchmem .
 	$(GO) run ./cmd/trbench -bench
 
 # benchcmp measures into a scratch file (results/BENCH_head.json is

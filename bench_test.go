@@ -5,17 +5,23 @@
 package repro_test
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/demoplan"
 	"repro/internal/experiments"
 	"repro/internal/hw/systolic"
 	"repro/internal/hw/tmac"
 	"repro/internal/intinfer"
+	"repro/internal/kernels/autotune"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/qsim"
@@ -309,6 +315,40 @@ func BenchmarkIntegerInferenceCNN(b *testing.B) {
 		}
 	}
 }
+
+// benchFamilyBuild times the cold compile trserve pays at boot and on
+// every reload: .trq bytes → artifact.DecodeModel →
+// demoplan.FamilyFromModel over the default budget ladder, with a fresh
+// autotune cache each iteration so tile tuning is paid every time.
+func benchFamilyBuild(b *testing.B, name string) {
+	m, hidden, _, err := demoplan.ModelByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := artifact.WriteModel(&buf, m, hidden, artifact.WriteOptions{
+		GroupSize: demoplan.QuantGroupSize, GroupBudget: demoplan.QuantGroupBudget}); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	b.Cleanup(autotune.Reset)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.Setenv("TRQ_AUTOTUNE_CACHE", filepath.Join(dir, fmt.Sprintf("autotune-%d.json", i)))
+		autotune.Reset()
+		rm, _, err := artifact.DecodeModel(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := demoplan.FamilyFromModel(rm, nil, demoplan.DefaultBudgets); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFamilyBuildMLP(b *testing.B) { benchFamilyBuild(b, "mlp") }
+
+func BenchmarkFamilyBuildCNN(b *testing.B) { benchFamilyBuild(b, "cnn") }
 
 // BenchmarkIntegerInferenceCNNObs is the observability-enabled twin of
 // BenchmarkIntegerInferenceCNN: same model, same batch, with a live

@@ -78,49 +78,82 @@ func groupStats(group []term.Expansion) (total, maxExp int) {
 	return total, maxExp
 }
 
+// recede runs the receding-water scan: one waterline level at a time
+// from maxExp down to 2^0, visiting group members in order within a
+// level (Fig. 6, where the budget is exhausted mid-row and the remaining
+// terms at that level are pruned). It stops once limit terms are kept
+// and returns the level it stopped at, or 0 when the group ran out of
+// terms first. next (one zeroed cursor per member) ends holding each
+// member's kept-term count. A non-nil order is extended with the member
+// index of every kept term in the order the scan kept it, so the first b
+// entries of the order are what budget b keeps.
+func recede(group []term.Expansion, maxExp, limit int, next []int, order *[]int) int {
+	remaining := limit
+	for exp := maxExp; exp >= 0; exp-- {
+		for i, e := range group {
+			if next[i] < len(e) && int(e[next[i]].Exp) == exp {
+				next[i]++
+				if order != nil {
+					*order = append(*order, i)
+				}
+				remaining--
+				if remaining == 0 {
+					return exp
+				}
+			}
+		}
+	}
+	return 0
+}
+
+// cursors returns n zeroed per-member cursors: paper-scale groups
+// (g ≤ 16) use buf on the caller's stack, only oversized groups pay for
+// a heap slice.
+func cursors(buf *[smallGroup]int, n int) []int {
+	if n > smallGroup {
+		return make([]int, n)
+	}
+	c := buf[:n]
+	clear(c)
+	return c
+}
+
+// groupBudget scales budget to a group of n members (n < groupSize only
+// for a tail group), rounding up so α is preserved at the boundary.
+func groupBudget(budget, n, groupSize int) int {
+	return (budget*n + groupSize - 1) / groupSize
+}
+
+// countReveal records one group revealed at budget against the TR
+// counters.
+func countReveal(total, budget int) {
+	mRevealGroups.Inc()
+	if total <= budget {
+		mTermsKept.Add(int64(total))
+		return
+	}
+	mTermsKept.Add(int64(budget))
+	mTermsPruned.Add(int64(total - budget))
+}
+
 // Reveal applies the receding-water algorithm to a group of expansions,
-// returning for each member the prefix that survives the group budget.
-// The scan proceeds one waterline level at a time from the highest
-// exponent present in the group down to 2^0, visiting group members in
-// order within a level (matching Fig. 6, where the budget is exhausted
-// mid-row and the remaining terms at that level are pruned). Groups with
-// no more than budget terms are returned unchanged.
+// returning for each member the prefix that survives the group budget
+// (see recede for the scan order). Groups with no more than budget terms
+// are returned unchanged.
 //
 // The returned expansions alias the inputs (they are prefixes); callers
 // that need independent storage should Clone.
 func Reveal(group []term.Expansion, budget int) []term.Expansion {
 	out := make([]term.Expansion, len(group))
 	total, maxExp := groupStats(group)
-	mRevealGroups.Inc()
+	countReveal(total, budget)
 	if total <= budget {
-		mTermsKept.Add(int64(total))
 		copy(out, group)
 		return out
 	}
-	mTermsKept.Add(int64(budget))
-	mTermsPruned.Add(int64(total - budget))
-	// Paper-scale groups (g ≤ 16) track per-member cursors in a stack
-	// array; only oversized groups pay for a heap slice.
-	var keptBuf [smallGroup]int
-	var kept []int
-	if len(group) <= smallGroup {
-		kept = keptBuf[:len(group)]
-	} else {
-		kept = make([]int, len(group))
-	}
-	remaining := budget
-scan:
-	for exp := maxExp; exp >= 0; exp-- {
-		for i, e := range group {
-			if kept[i] < len(e) && int(e[kept[i]].Exp) == exp {
-				kept[i]++
-				remaining--
-				if remaining == 0 {
-					break scan
-				}
-			}
-		}
-	}
+	var buf [smallGroup]int
+	kept := cursors(&buf, len(group))
+	recede(group, maxExp, budget, kept, nil)
 	for i, e := range group {
 		out[i] = e[:kept[i]]
 	}
@@ -142,26 +175,8 @@ func waterline(group []term.Expansion, budget int) int {
 	if total <= budget {
 		return -1
 	}
-	remaining := budget
-	var idxBuf [smallGroup]int
-	var idx []int
-	if len(group) <= smallGroup {
-		idx = idxBuf[:len(group)]
-	} else {
-		idx = make([]int, len(group))
-	}
-	for exp := maxExp; exp >= 0; exp-- {
-		for i, e := range group {
-			if idx[i] < len(e) && int(e[idx[i]].Exp) == exp {
-				idx[i]++
-				remaining--
-				if remaining == 0 {
-					return exp
-				}
-			}
-		}
-	}
-	return 0
+	var buf [smallGroup]int
+	return recede(group, maxExp, budget, cursors(&buf, len(group)), nil)
 }
 
 // RevealValues encodes vals with enc, partitions them into consecutive
@@ -181,19 +196,72 @@ func RevealValues(vals []int32, enc term.Encoding, groupSize, budget int) ([]ter
 	}
 	out := make([]int32, len(vals))
 	for start := 0; start < len(vals); start += groupSize {
-		end := start + groupSize
-		b := budget
-		if end > len(vals) {
-			end = len(vals)
-			b = (budget*(end-start) + groupSize - 1) / groupSize
-		}
-		revealed := Reveal(exps[start:end], b)
+		end := min(start+groupSize, len(vals))
+		revealed := Reveal(exps[start:end], groupBudget(budget, end-start, groupSize))
 		for j, e := range revealed {
 			exps[start+j] = e
 			out[start+j] = e.Value()
 		}
 	}
 	return exps, out
+}
+
+// RevealLadder is RevealValues at every budget in budgets at once,
+// returning only the values: out[r] holds vals revealed at budgets[r].
+// Each value is encoded once and each group scanned once, because the
+// receding-water order does not depend on the budget — every budget
+// keeps a prefix of the same scan (the truncation-ready property). Tail
+// groups rescale each budget and groups within a budget are copied,
+// exactly as RevealValues does, and the TR counters advance as if
+// RevealValues had run once per budget. Budgets must be positive.
+func RevealLadder(vals []int32, enc term.Encoding, groupSize int, budgets []int) [][]int32 {
+	out := make([][]int32, len(budgets))
+	for r, b := range budgets {
+		if b < 1 {
+			panic(fmt.Sprintf("core: RevealLadder budget %d, want >= 1", b))
+		}
+		out[r] = make([]int32, len(vals))
+	}
+	exps := make([]term.Expansion, len(vals))
+	for i, v := range vals {
+		exps[i] = term.EncodeCached(v, enc)
+	}
+	var buf [smallGroup]int
+	var order []int // reused across groups
+	for start := 0; start < len(vals); start += groupSize {
+		end := min(start+groupSize, len(vals))
+		group := exps[start:end]
+		total, maxExp := groupStats(group)
+		limit := 0 // the longest prefix any truncating budget keeps
+		for _, b := range budgets {
+			if b = groupBudget(b, len(group), groupSize); b < total {
+				limit = max(limit, b)
+			}
+		}
+		order = order[:0]
+		if limit > 0 {
+			recede(group, maxExp, limit, cursors(&buf, len(group)), &order)
+		}
+		for r, b := range budgets {
+			b = groupBudget(b, len(group), groupSize)
+			countReveal(total, b)
+			dst := out[r][start:end]
+			if total <= b {
+				for j, e := range group {
+					dst[j] = e.Value()
+				}
+				continue
+			}
+			kept := cursors(&buf, len(group))
+			for _, i := range order[:b] {
+				kept[i]++
+			}
+			for j, e := range group {
+				dst[j] = e[:kept[j]].Value()
+			}
+		}
+	}
+	return out
 }
 
 // TruncateData encodes each value with enc and keeps its top s terms (the

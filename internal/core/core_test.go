@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/term"
 )
 
@@ -481,4 +482,72 @@ func TestRevealEmptyGroup(t *testing.T) {
 	if len(zero) != 2 || len(zero[0]) != 0 {
 		t.Errorf("Reveal of zero values = %v", zero)
 	}
+}
+
+// RevealLadder must equal RevealValues run once per budget — values and
+// TR counters alike — for any length, group size, encoding and budget
+// set, tail groups and budgets at or above a group's term total
+// included.
+func TestRevealLadderMatchesPerBudgetReveal(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(300)
+		g := 1 + rng.Intn(16)
+		enc := term.HESE
+		if trial%3 == 0 {
+			enc = term.Binary
+		}
+		span := int32(255) // 8-bit codes: the encode cache's range
+		if trial%5 == 0 {
+			span = 4001 // wider values take the uncached encoder
+		}
+		vals := make([]int32, n)
+		for i := range vals {
+			vals[i] = rng.Int31n(span) - span/2
+		}
+		// Budgets span 1 (prunes almost every group) to far above the
+		// largest possible group total (copies every group).
+		budgets := make([]int, 1+rng.Intn(4))
+		for i := range budgets {
+			budgets[i] = 1 + rng.Intn(14*g)
+		}
+
+		ladderReg, perReg := obs.New(), obs.New()
+		SetObs(ladderReg)
+		got := RevealLadder(vals, enc, g, budgets)
+		SetObs(perReg)
+		for r, k := range budgets {
+			_, want := RevealValues(vals, enc, g, k)
+			if len(got[r]) != n {
+				t.Fatalf("trial %d: rung %d has %d values, want %d", trial, r, len(got[r]), n)
+			}
+			for i := range want {
+				if got[r][i] != want[i] {
+					t.Fatalf("trial %d (n=%d g=%d %v budgets=%v): budget %d value %d = %d, RevealValues %d",
+						trial, n, g, enc, budgets, k, i, got[r][i], want[i])
+				}
+			}
+		}
+		SetObs(nil)
+		lc, pc := ladderReg.Snapshot().Counters, perReg.Snapshot().Counters
+		for _, name := range []string{
+			"trq_core_reveal_groups_total",
+			`trq_core_reveal_terms_total{fate="kept"}`,
+			`trq_core_reveal_terms_total{fate="pruned"}`,
+		} {
+			if lc[name] != pc[name] {
+				t.Fatalf("trial %d: %s = %d from the ladder, %d from per-budget reveals",
+					trial, name, lc[name], pc[name])
+			}
+		}
+	}
+}
+
+func TestRevealLadderRejectsNonPositiveBudget(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("budget 0 accepted")
+		}
+	}()
+	RevealLadder([]int32{1, 2, 3}, term.HESE, 2, []int{4, 0})
 }

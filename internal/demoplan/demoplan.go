@@ -41,13 +41,20 @@ var DefaultBudgets = []int{4, 8, QuantGroupBudget}
 // MLPModel trains the digits MLP and returns it (raw, compile with
 // PlanFromModel or FamilyFromModel) plus its held-out test set.
 func MLPModel() (*models.ImageModel, *datasets.ImageDataset) {
-	train := datasets.DigitsNoisy(400, 0.2, 91)
+	train := digitImages(400)
 	test := datasets.DigitsNoisy(64, 0.2, 92)
 	m := models.NewMLP(MLPHidden, 93)
 	cfg := models.DefaultTrain
 	cfg.Epochs = 2
 	models.Train(m, train, cfg)
 	return m, test
+}
+
+// digitImages is the MLP recipe's training stream: its first n images.
+// The generator draws each image in sequence, so any n yields a prefix
+// of the same stream.
+func digitImages(n int) *datasets.ImageDataset {
+	return datasets.DigitsNoisy(n, 0.2, 91)
 }
 
 // CNNModel trains the small ResNet-style CNN and returns it raw —
@@ -64,10 +71,16 @@ func CNNModel() (*models.ImageModel, *datasets.ImageDataset) {
 }
 
 // cnnData is the CNN recipe's dataset split, parameterized only by
-// geometry so Calibration can rebuild it from a loaded model.
+// geometry so TestImages can rebuild it from a loaded model.
 func cnnData(g models.CNNGeom) (train, test *datasets.ImageDataset) {
-	all := datasets.ImageClassesHard(120, g.Classes, g.InC, g.InH, g.InW, 0.4, 0.4, 96)
-	return all.Split(88)
+	return cnnImages(g, 120).Split(88)
+}
+
+// cnnImages is the CNN recipe's image stream: its first n images. The
+// generator draws each image in sequence, so any n yields a prefix of
+// the same stream.
+func cnnImages(g models.CNNGeom, n int) *datasets.ImageDataset {
+	return datasets.ImageClassesHard(n, g.Classes, g.InC, g.InH, g.InW, 0.4, 0.4, 96)
 }
 
 // ModelByName trains the named demo model ("mlp" or "cnn"), returning
@@ -85,18 +98,22 @@ func ModelByName(name string) (*models.ImageModel, int, *datasets.ImageDataset, 
 	return nil, 0, nil, fmt.Errorf("demoplan: unknown model %q (want mlp or cnn)", name)
 }
 
+// calibrationImages is the size of the demo calibration batch: the
+// first images of each recipe's training set.
+const calibrationImages = 32
+
 // Calibration reconstructs the demo calibration batch for a model from
 // its input geometry: the digits recipe for the MLP shape, the
 // hard-images recipe otherwise. A model loaded back from an artifact
 // therefore compiles with exactly the calibration data its in-process
-// twin trained against.
+// twin trained against. Only the calibration images are generated; they
+// are the first images of the model's training set.
 func Calibration(m *models.ImageModel) [][]float32 {
 	if m.InC == 1 && m.InH == 12 && m.InW == 12 && m.Classes == 10 {
-		return datasets.DigitsNoisy(400, 0.2, 91).Images[:32]
+		return digitImages(calibrationImages).Images
 	}
 	g := models.CNNGeom{InC: m.InC, InH: m.InH, InW: m.InW, Classes: m.Classes}
-	train, _ := cnnData(g)
-	return train.Images[:32]
+	return cnnImages(g, calibrationImages).Images
 }
 
 // TestImages rebuilds the held-out test images for a model from its

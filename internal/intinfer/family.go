@@ -17,10 +17,12 @@ import (
 // geometry is the family max — so adding budgets costs only the requant
 // tables that actually differ, not another full copy of the network.
 //
-// Each rung is bit-identical to the plan Build would produce for that
-// budget alone: BuildFamily runs the same calibration pass once and
-// compiles every rung through the same code path, and sharing only
-// aliases storage proven equal.
+// A family is compiled in one pass: one calibration pass, and each
+// weight tensor quantized and scanned once, every rung's codes being a
+// prefix of the same receding-water order (core.RevealLadder). Each rung
+// is bit-identical to the plan Build would produce for that budget
+// alone, because Build is the one-budget case of the same compile path
+// and sharing only aliases storage proven equal.
 //
 // A Family is immutable after BuildFamily and safe for concurrent use.
 type Family struct {
@@ -50,23 +52,11 @@ func BuildFamily(m *models.ImageModel, opts Options) (*Family, error) {
 		}
 	}
 
-	// One calibration pass: the activation scales depend only on the
-	// float model, so every rung shares them — a rung differs from its
-	// neighbours solely in which weight terms survive revealing.
-	scales, outScale, err := calibrate(m, opts.Calibration)
+	plans, err := compileLadder(m, opts, budgets)
 	if err != nil {
 		return nil, err
 	}
-	f := &Family{budgets: budgets, plans: make([]*Plan, len(budgets))}
-	for i, b := range budgets {
-		o := opts
-		o.GroupBudget = b
-		p, err := buildCalibrated(m, o, scales, outScale)
-		if err != nil {
-			return nil, fmt.Errorf("intinfer: budget %d: %w", b, err)
-		}
-		f.plans[i] = p
-	}
+	f := &Family{budgets: budgets, plans: plans}
 	f.share()
 	return f, nil
 }

@@ -42,7 +42,7 @@ func TestFamilyBitIdenticalToSingleBudget(t *testing.T) {
 	m, train, test := trainedMLP(t)
 	opts := Options{Calibration: train.Images[:64], GroupSize: 8}
 	fo := opts
-	fo.Budgets = []int{4, 12}
+	fo.Budgets = []int{0, 4, 12} // 0: plain codes, no revealing
 	f, err := BuildFamily(m, fo)
 	if err != nil {
 		t.Fatal(err)

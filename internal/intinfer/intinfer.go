@@ -205,24 +205,96 @@ func Build(m *models.ImageModel, opts Options) (*Plan, error) {
 	if err := normalizeOptions(&opts); err != nil {
 		return nil, err
 	}
+	plans, err := compileLadder(m, opts, []int{opts.GroupBudget})
+	if err != nil {
+		return nil, err
+	}
+	return plans[0], nil
+}
 
+// compileLadder compiles the model once per budget (ascending, no
+// duplicates), returning one plan per budget. Build is the one-budget
+// case. The calibration pass runs once, since activation scales depend
+// only on the float model, and each weight tensor is quantized and
+// revealed once for every budget (weightLadder): the rungs differ only
+// in which weight terms survive revealing.
+func compileLadder(m *models.ImageModel, opts Options, budgets []int) ([]*Plan, error) {
 	// Calibration: capture every weight layer's input activations and the
 	// network output to fix static scales.
 	scales, outScale, err := calibrate(m, opts.Calibration)
 	if err != nil {
 		return nil, err
 	}
-	return buildCalibrated(m, opts, scales, outScale)
+	wl := &weightLadder{bits: opts.WeightBits, groupSize: opts.GroupSize,
+		budgets: budgets, layers: make(map[string]ladderCodes)}
+	plans := make([]*Plan, len(budgets))
+	for r, b := range budgets {
+		o := opts
+		o.GroupBudget = b
+		c := &compiler{opts: o, scales: scales,
+			weights: func(name string, w []float32, rows, cols int) ([]int32, float32) {
+				return wl.codes(name, w, rows, cols, r)
+			}}
+		// Compile errors come from the model's structure, never from
+		// the budget, so the first rung reports them for all.
+		if plans[r], err = c.build(m, outScale); err != nil {
+			return nil, err
+		}
+	}
+	return plans, nil
 }
 
-// buildCalibrated compiles the model against pre-computed calibration
-// scales. Build runs the calibration pass itself; BuildFamily runs it
-// once and compiles every budget rung through here, so the rungs are
-// bit-identical to single-budget builds by construction.
-func buildCalibrated(m *models.ImageModel, opts Options, scales map[string]float32, outScale float32) (*Plan, error) {
+// weightLadder quantizes and reveals each weight tensor once for every
+// budget of a ladder, on the first rung that asks for it.
+type weightLadder struct {
+	bits, groupSize int
+	budgets         []int
+	layers          map[string]ladderCodes // by layer name
+}
+
+// ladderCodes is one weight tensor's codes at every budget of the ladder
+// (parallel to weightLadder.budgets) and the quantization scale they
+// share: revealing drops terms but never rescales.
+type ladderCodes struct {
+	rungs [][]int32
+	scale float32
+}
+
+// codes returns the rows×cols weight tensor w of the named layer as
+// codes revealed at budgets[rung]. Each row is revealed on its own, so
+// groups never straddle rows; budget 0 keeps the plain quantized codes.
+func (wl *weightLadder) codes(name string, w []float32, rows, cols, rung int) ([]int32, float32) {
+	if lc, ok := wl.layers[name]; ok {
+		return lc.rungs[rung], lc.scale
+	}
+	p := quant.MaxAbsParams(w, wl.bits)
+	codes := p.QuantizeSlice(w)
+	lc := ladderCodes{rungs: make([][]int32, len(wl.budgets)), scale: p.Scale}
+	ks := wl.budgets // ascending, so budget 0 (no revealing) can only lead
+	if ks[0] == 0 {
+		lc.rungs[0] = codes
+		ks = ks[1:]
+	}
+	first := len(wl.budgets) - len(ks) // rung of ks[0]
+	for j := range ks {
+		lc.rungs[first+j] = make([]int32, len(codes))
+	}
+	for row := 0; row < rows && len(ks) > 0; row++ {
+		lo, hi := row*cols, (row+1)*cols
+		for j, vals := range core.RevealLadder(codes[lo:hi], term.HESE, wl.groupSize, ks) {
+			copy(lc.rungs[first+j][lo:hi], vals)
+		}
+	}
+	wl.layers[name] = lc
+	return lc.rungs[rung], lc.scale
+}
+
+// build compiles the model against the compiler's calibration scales
+// and weight codes.
+func (c *compiler) build(m *models.ImageModel, outScale float32) (*Plan, error) {
+	opts := c.opts
 	p := &Plan{inC: m.InC, inH: m.InH, inW: m.InW, classes: m.Classes,
 		outScale: outScale, groupBudget: opts.GroupBudget}
-	c := &compiler{opts: opts, scales: scales}
 	var flat []nn.Layer
 	if err := flattenChain(m.Net, &flat); err != nil {
 		return nil, err
@@ -283,7 +355,7 @@ func (p *Plan) finalize(opts Options) {
 	p.prepareF64(p.steps)
 	p.express = expressible(p.steps)
 	p.linear8 = batchable(p.steps)
-	p.tuneSteps(p.steps)
+	p.tuneSteps()
 	p.sizeLinear8(p.steps)
 	if p.maxCol == 0 {
 		p.maxCol = 1 // keep the slice non-nil paths trivial
@@ -321,31 +393,48 @@ func batchable(steps []step) bool {
 
 // tuneSteps asks the autotuner for a tile per packed step, keyed by the
 // geometry the kernel will actually run: per-group dimensions for
-// convs, the micro-batch column count for batch-lane linears. Tile
-// choice never affects results (kernels.Tile), so a plan built with a
-// cold cache and one built with a warm cache are bit-identical — the
-// warm build just skips the measurement.
-func (p *Plan) tuneSteps(steps []step) {
+// convs, the micro-batch column count for batch-lane linears. All of a
+// plan's geometries go to one autotune.PickAll, so a cold cache is
+// written once per plan build. Tile choice never affects results
+// (kernels.Tile), so a plan built with a cold cache and one built with a
+// warm cache are bit-identical — the warm build just skips the
+// measurement.
+func (p *Plan) tuneSteps() {
+	packed, geoms := p.tuneGeoms(p.steps, nil, nil)
+	if len(geoms) == 0 {
+		return
+	}
+	for i, t := range autotune.PickAll(geoms) {
+		packed[i].tile = t
+	}
+}
+
+// tuneGeoms appends every packed step in steps (descending into
+// residual branches) and the geometry its kernel runs.
+func (p *Plan) tuneGeoms(steps []step, packed []*step, geoms []autotune.Geometry) ([]*step, []autotune.Geometry) {
 	for i := range steps {
 		st := &steps[i]
 		switch {
 		case st.kind == kindConv && st.pack8 != nil:
 			g := st.geom
-			st.tile = autotune.Pick(autotune.Geometry{M: g.outC / g.groups,
+			packed = append(packed, st)
+			geoms = append(geoms, autotune.Geometry{M: g.outC / g.groups,
 				K: (g.inC / g.groups) * g.kh * g.kw, N: g.outH * g.outW})
 		case st.kind == kindLinear && st.pack8lin != nil:
 			n := 1
 			if p.linear8 {
 				n = linear8Cols
 			}
-			st.tile = autotune.Pick(autotune.Geometry{M: st.rows, K: st.cols, N: n})
+			packed = append(packed, st)
+			geoms = append(geoms, autotune.Geometry{M: st.rows, K: st.cols, N: n})
 		case st.kind == kindResidual:
-			p.tuneSteps(st.body)
+			packed, geoms = p.tuneGeoms(st.body, packed, geoms)
 			if st.proj != nil {
-				p.tuneSteps(st.proj)
+				packed, geoms = p.tuneGeoms(st.proj, packed, geoms)
 			}
 		}
 	}
+	return packed, geoms
 }
 
 // sizeLinear8 sizes the packed-linear lane's scratch buffers: the
@@ -528,11 +617,14 @@ func chainBufs(steps []step, held int) int {
 	return peak
 }
 
-// compiler threads the calibration scales through the recursive chain
-// compilation.
+// compiler threads the calibration scales and the weight codes through
+// the recursive chain compilation.
 type compiler struct {
 	opts   Options
 	scales map[string]float32
+	// weights returns a layer's rows×cols weight tensor w as codes at
+	// this plan's budget, and their scale.
+	weights func(name string, w []float32, rows, cols int) ([]int32, float32)
 }
 
 // flattenChain expands nested sequentials into a flat op list, keeping
@@ -611,7 +703,7 @@ func (c *compiler) compileChain(chain []nn.Layer, inScale, outScale float32) ([]
 			if err != nil {
 				return nil, err
 			}
-			st, err := compileConv(v, c.opts, sx, sy)
+			st, err := c.compileConv(v, sx, sy)
 			if err != nil {
 				return nil, err
 			}
@@ -626,7 +718,7 @@ func (c *compiler) compileChain(chain []nn.Layer, inScale, outScale float32) ([]
 			if err != nil {
 				return nil, err
 			}
-			st, err := compileLinear(v, c.opts, sx, sy)
+			st, err := c.compileLinear(v, sx, sy)
 			if err != nil {
 				return nil, err
 			}
@@ -747,18 +839,6 @@ func calibrate(m *models.ImageModel, images [][]float32) (map[string]float32, fl
 	return scales, oMax / qmax, nil
 }
 
-func quantizeWeightRows(w []float32, rows, cols, bits, g, k int) ([]int32, float32) {
-	p := quant.MaxAbsParams(w, bits)
-	codes := p.QuantizeSlice(w)
-	if k > 0 {
-		for r := 0; r < rows; r++ {
-			_, revealed := core.RevealValues(codes[r*cols:(r+1)*cols], term.HESE, g, k)
-			copy(codes[r*cols:(r+1)*cols], revealed)
-		}
-	}
-	return codes, p.Scale
-}
-
 // maxAbs32 returns the largest magnitude in a code slice.
 func maxAbs32(v []int32) int64 {
 	var m int64
@@ -782,11 +862,10 @@ func admitGemm(weights, bias []int32, k int) bool {
 	return kernels.AccumFits(k, maxAbs32(weights), 127, maxAbs32(bias))
 }
 
-func compileConv(v *nn.Conv2D, opts Options, sx, sy float32) (step, error) {
+func (c *compiler) compileConv(v *nn.Conv2D, sx, sy float32) (step, error) {
 	g := v.Geom
 	kk := (g.InC / g.Groups) * g.KH * g.KW
-	codes, sw := quantizeWeightRows(v.Weight.W.Data, g.OutC, kk,
-		opts.WeightBits, opts.GroupSize, opts.GroupBudget)
+	codes, sw := c.weights(v.Name(), v.Weight.W.Data, g.OutC, kk)
 	st := step{kind: kindConv, name: v.Name(),
 		geom: &convGeom{inC: g.InC, inH: g.InH, inW: g.InW, outC: g.OutC,
 			kh: g.KH, kw: g.KW, stride: g.Stride, pad: g.Pad,
@@ -828,9 +907,8 @@ func packConvWeights(st *step, kk int) {
 	st.pack8 = packs
 }
 
-func compileLinear(v *nn.Linear, opts Options, sx, sy float32) (step, error) {
-	codes, sw := quantizeWeightRows(v.Weight.W.Data, v.Out, v.In,
-		opts.WeightBits, opts.GroupSize, opts.GroupBudget)
+func (c *compiler) compileLinear(v *nn.Linear, sx, sy float32) (step, error) {
+	codes, sw := c.weights(v.Name(), v.Weight.W.Data, v.Out, v.In)
 	st := step{kind: kindLinear, name: v.Name(), rows: v.Out, cols: v.In,
 		weights: codes, inScale: sx, wScale: sw, outScale: sy,
 		mult: float64(sw) * float64(sx) / float64(sy), lo: -127, hi: 127}

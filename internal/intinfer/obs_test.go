@@ -2,6 +2,7 @@ package intinfer
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -69,7 +70,14 @@ func TestErrorPathRecyclesScratch(t *testing.T) {
 
 	var stop atomic.Bool
 	stop.Store(true) // every classify fails mid-chain with errStopped
-	if _, err := plan.classify(test.Images[0], 1, &stop); !errors.Is(err, errStopped) {
+	// testing.AllocsPerRun below runs at GOMAXPROCS(1), and a sync.Pool
+	// drops its per-P caches when it first runs at a new GOMAXPROCS: warm
+	// the arena at that same setting, so the scratch this call returns
+	// is still pooled when the measured calls start.
+	prev := runtime.GOMAXPROCS(1)
+	_, err = plan.classify(test.Images[0], 1, &stop)
+	runtime.GOMAXPROCS(prev)
+	if !errors.Is(err, errStopped) {
 		t.Fatalf("armed stop flag returned %v, want errStopped", err)
 	}
 

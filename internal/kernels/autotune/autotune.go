@@ -95,9 +95,18 @@ func SetObs(r *obs.Registry) {
 // measurement runs under the package lock, so concurrent plan builds
 // tune a given geometry once.
 func Pick(g Geometry) kernels.Tile {
+	return PickAll([]Geometry{g})[0]
+}
+
+// PickAll is Pick for several geometries at once, returning their tiles
+// in order. Every miss is measured, and the cache file is written once
+// for the whole call rather than once per measured geometry, so a plan
+// build pays one write however many layers it tunes.
+func PickAll(gs []Geometry) []kernels.Tile {
+	tiles := make([]kernels.Tile, len(gs))
 	if os.Getenv("TRQ_AUTOTUNE") == "off" {
-		disabled.Inc()
-		return kernels.Tile{}
+		disabled.Add(int64(len(gs)))
+		return tiles
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -106,16 +115,24 @@ func Pick(g Geometry) kernels.Tile {
 		loadLocked()
 		loaded = true
 	}
-	k := key(g)
-	if t, ok := mem[k]; ok {
-		hits.Inc()
-		return t
+	dirty := false
+	for i, g := range gs {
+		k := key(g)
+		t, ok := mem[k]
+		if ok {
+			hits.Inc()
+		} else {
+			t = measure(g)
+			mem[k] = t
+			measured.Inc()
+			dirty = true
+		}
+		tiles[i] = t
 	}
-	t := measure(g)
-	mem[k] = t
-	saveLocked()
-	measured.Inc()
-	return t
+	if dirty {
+		saveLocked()
+	}
+	return tiles
 }
 
 // Reset drops the in-memory cache (not the disk file), so the next Pick

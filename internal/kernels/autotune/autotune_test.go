@@ -70,6 +70,45 @@ func TestPickPersistsAcrossProcesses(t *testing.T) {
 	}
 }
 
+// PickAll measures every miss of one call and persists them together:
+// a fresh process must then find each pick on disk, identical to what
+// the batched call returned.
+func TestPickAllPersistsEveryMiss(t *testing.T) {
+	path := withCache(t)
+	reg := obs.New()
+	SetObs(reg)
+	defer SetObs(nil)
+	measuredC := reg.Counter("trq_kernels_autotune_total", "outcome", "measured")
+	hitsC := reg.Counter("trq_kernels_autotune_total", "outcome", "hit")
+
+	geos := []Geometry{{M: 8, K: 16, N: 4}, {M: 4, K: 8, N: 2}, {M: 8, K: 16, N: 4}}
+	cold := PickAll(geos)
+	if measuredC.Value() != 2 || hitsC.Value() != 1 {
+		t.Fatalf("cold PickAll: measured=%d hits=%d, want 2/1 (the repeat hits)", measuredC.Value(), hitsC.Value())
+	}
+	if cold[0] != cold[2] {
+		t.Fatalf("repeated geometry picked %v then %v", cold[0], cold[2])
+	}
+	var c cacheData
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("cache file not written: %v", err)
+	}
+	if err := json.Unmarshal(data, &c); err != nil || len(c.Tiles) != 2 {
+		t.Fatalf("cache file holds %d tiles (err %v), want 2", len(c.Tiles), err)
+	}
+
+	Reset()
+	for i, g := range geos {
+		if warm := Pick(g); warm != cold[i] {
+			t.Fatalf("warm pick %d: %v, PickAll gave %v", i, warm, cold[i])
+		}
+	}
+	if measuredC.Value() != 2 {
+		t.Fatalf("warm picks measured again: measured=%d, want 2", measuredC.Value())
+	}
+}
+
 func TestStaleVersionRemeasured(t *testing.T) {
 	path := withCache(t)
 	bogus := kernels.Tile{MR: 999, NR: 999, KC: 999}

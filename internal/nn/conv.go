@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -56,7 +58,10 @@ func (c *Conv2D) Params() []*Param {
 	return []*Param{c.Weight, c.Bias}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Samples are independent, so the batch is
+// spread over min(GOMAXPROCS, batch) goroutines; each sample writes only
+// its own output rows and lastCols slots and runs the same arithmetic
+// it would serially, so results are bit-identical at any worker count.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.Geom
 	if c.Hook != nil {
@@ -64,36 +69,55 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	b := x.Shape[0]
 	c.lastB = b
-	oPerG := g.OutC / g.Groups
-	cPerG := g.InC / g.Groups
-	kk := cPerG * g.KH * g.KW
 	out := tensor.New(b, g.OutC, g.OutH, g.OutW)
 	c.lastCols = make([]*tensor.Tensor, b*g.Groups)
-	spatial := g.OutH * g.OutW
-	for s := 0; s < b; s++ {
-		img := tensor.FromSlice(x.Data[s*g.InC*g.InH*g.InW:(s+1)*g.InC*g.InH*g.InW],
-			g.InC, g.InH, g.InW)
-		for grp := 0; grp < g.Groups; grp++ {
-			cols := tensor.Im2Col(img, g, grp)
-			c.lastCols[s*g.Groups+grp] = cols
-			wMat := tensor.FromSlice(c.Weight.W.Data[grp*oPerG*kk:(grp+1)*oPerG*kk], oPerG, kk)
-			res := tensor.MatMul(wMat, cols)
-			dst := out.Data[(s*g.OutC+grp*oPerG)*spatial:]
-			copy(dst[:oPerG*spatial], res.Data)
+	workers := min(runtime.GOMAXPROCS(0), b)
+	if workers <= 1 {
+		for s := 0; s < b; s++ {
+			c.forwardSample(x, out, s)
 		}
+		return out
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := w; s < b; s += workers {
+				c.forwardSample(x, out, s)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// forwardSample convolves sample s of x into its rows of out, caching
+// the sample's im2col matrices for Backward.
+func (c *Conv2D) forwardSample(x, out *tensor.Tensor, s int) {
+	g := c.Geom
+	oPerG := g.OutC / g.Groups
+	kk := (g.InC / g.Groups) * g.KH * g.KW
+	spatial := g.OutH * g.OutW
+	img := tensor.FromSlice(x.Data[s*g.InC*g.InH*g.InW:(s+1)*g.InC*g.InH*g.InW],
+		g.InC, g.InH, g.InW)
+	for grp := 0; grp < g.Groups; grp++ {
+		cols := tensor.Im2Col(img, g, grp)
+		c.lastCols[s*g.Groups+grp] = cols
+		wMat := tensor.FromSlice(c.Weight.W.Data[grp*oPerG*kk:(grp+1)*oPerG*kk], oPerG, kk)
+		res := tensor.MatMul(wMat, cols)
+		dst := out.Data[(s*g.OutC+grp*oPerG)*spatial:]
+		copy(dst[:oPerG*spatial], res.Data)
 	}
 	if c.Bias != nil {
-		for s := 0; s < b; s++ {
-			for oc := 0; oc < g.OutC; oc++ {
-				bias := c.Bias.W.Data[oc]
-				row := out.Data[(s*g.OutC+oc)*spatial : (s*g.OutC+oc+1)*spatial]
-				for i := range row {
-					row[i] += bias
-				}
+		for oc := 0; oc < g.OutC; oc++ {
+			bias := c.Bias.W.Data[oc]
+			row := out.Data[(s*g.OutC+oc)*spatial : (s*g.OutC+oc+1)*spatial]
+			for i := range row {
+				row[i] += bias
 			}
 		}
 	}
-	return out
 }
 
 // Backward implements Layer.

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -116,6 +117,44 @@ func TestDepthwiseConvGradCheck(t *testing.T) {
 		InC: 4, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 4, OutC: 4,
 	}, false, rng)
 	gradCheck(t, c, randInput(rng, 2, 4, 6, 6), 1e-2)
+}
+
+// A batched Forward spreads samples over goroutines; every output
+// element and every cached im2col matrix must be bit-identical to the
+// serial one-sample Forward of the same image. Run under -race, this
+// also checks that samples touch disjoint state.
+func TestConvBatchedForwardMatchesPerSample(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // fan out on any host
+	for _, geom := range []tensor.ConvGeom{
+		{InC: 4, InH: 7, InW: 7, KH: 3, KW: 3, Stride: 2, Pad: 1, Groups: 2, OutC: 6},
+		{InC: 4, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 4, OutC: 4},
+	} {
+		rng := rand.New(rand.NewSource(int64(geom.Groups)))
+		c := NewConv2D("conv", geom, true, rng)
+		c.Bias.W.RandN(rng, 1)
+		const batch = 9
+		x := randInput(rng, batch, geom.InC, geom.InH, geom.InW)
+		y := c.Forward(x, false)
+		cols := c.lastCols
+		per := len(y.Data) / batch
+		in := len(x.Data) / batch
+		for s := 0; s < batch; s++ {
+			ys := c.Forward(tensor.FromSlice(x.Data[s*in:(s+1)*in], 1, geom.InC, geom.InH, geom.InW), false)
+			for i, v := range ys.Data {
+				if got := y.Data[s*per+i]; math.Float32bits(got) != math.Float32bits(v) {
+					t.Fatalf("groups %d sample %d output %d: batched %v, alone %v", geom.Groups, s, i, got, v)
+				}
+			}
+			for grp, want := range c.lastCols {
+				got := cols[s*geom.Groups+grp]
+				for i, v := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+						t.Fatalf("groups %d sample %d group %d: cached im2col differs at %d", geom.Groups, s, grp, i)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestConvBadGroupsPanics(t *testing.T) {
