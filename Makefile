@@ -2,8 +2,9 @@
 #
 #   make tier1   build + full test suite (the repo's gate; ROADMAP.md)
 #   make tier2   vet + race-enabled tests: exercises InferBatchParallel
-#                and the intra-layer GEMM/GEMV row fan-out under the
-#                race detector (see TestParallelPathsUnderContention)
+#                and the intra-layer gemm8/gemv_f64 row fan-out under
+#                the race detector (see TestParallelPathsUnderContention
+#                and TestLanesMatchDirect)
 #   make tier3   vet + trlint (the custom static-invariant suite,
 #                DESIGN.md §8) + race-enabled tests
 #   make lint    trlint alone: quantnarrow, poolarena, asmparity,

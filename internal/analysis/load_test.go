@@ -26,8 +26,8 @@ func TestLoadTypeChecksModulePackages(t *testing.T) {
 	if k == nil {
 		t.Fatal("kernels package not loaded")
 	}
-	if k.Types == nil || k.Types.Scope().Lookup("Gemm") == nil {
-		t.Fatal("kernels not type-checked: Gemm not in scope")
+	if k.Types == nil || k.Types.Scope().Lookup("Gemm8Rows") == nil {
+		t.Fatal("kernels not type-checked: Gemm8Rows not in scope")
 	}
 	// Types must be recorded for expressions (analyzers depend on it).
 	typed := 0

@@ -1,7 +1,7 @@
 // Package quantnarrow flags implicit-overflow narrowing conversions in
 // the quantized data path. The inference runtime's correctness argument
 // is that every int8-range code and every int32 accumulator provably
-// fits its storage (kernels.AccumFits / kernels.ExactF64); a bare
+// fits its storage (kernels.AccumFitsU8 / kernels.ExactF64); a bare
 // int8(x) or int32(x) on a wider value silently truncates the moment
 // that argument breaks, which is exactly the class of bit-level hazard
 // the paper's encodings manage explicitly. A conversion is accepted only

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/kernels"
 )
 
 // TestRunObservesStop pins the cooperative-cancellation contract inside a
@@ -43,18 +45,6 @@ func TestChunkWorkersObserveStop(t *testing.T) {
 	stop.Store(true)
 	s := &scratch{}
 
-	const sentinel = int32(-777)
-	dst := []int32{sentinel, sentinel}
-	a := []int32{1, 2, 3, 4}
-	x := []int32{5, 6}
-	s.wg.Add(1)
-	gemvChunk(&s.wg, &stop, dst, a, x, nil, 0, 2, 2)
-	for i, v := range dst {
-		if v != sentinel {
-			t.Errorf("gemvChunk wrote dst[%d]=%d despite stop flag", i, v)
-		}
-	}
-
 	dstF := []float64{-777, -777}
 	aF := []float64{1, 2, 3, 4}
 	xF := []float64{5, 6}
@@ -67,12 +57,28 @@ func TestChunkWorkersObserveStop(t *testing.T) {
 		}
 	}
 
+	// gemm8Chunk: a 2×3 weight matrix against a 3×2 offset-u8 patch
+	// matrix, one 4-row panel.
+	const sentinel = int32(-777)
+	pa := kernels.PackA([]int32{1, 2, 3, 4, 5, 6}, []int32{0, 0}, 2, 3)
+	u8 := []uint8{129, 130, 131, 132, 133, 134}
+	pb := make([]uint8, kernels.PackBSize(3, 2))
+	kernels.PackB(pb, u8, 3, 2)
+	dst := []int32{sentinel, sentinel, sentinel, sentinel}
 	s.wg.Add(1)
-	gemmChunk(&s.wg, &stop, dst, a, x, nil, 2, 1, 2)
+	gemm8Chunk(&s.wg, &stop, dst, pa, pb, 2, 0, pa.MP, 1, -127, 127)
 	for i, v := range dst {
 		if v != sentinel {
-			t.Errorf("gemmChunk wrote dst[%d]=%d despite stop flag", i, v)
+			t.Errorf("gemm8Chunk wrote dst[%d]=%d despite stop flag", i, v)
 		}
+	}
+	// The same call with the flag clear must compute, or the check above
+	// proves nothing.
+	stop.Store(false)
+	s.wg.Add(1)
+	gemm8Chunk(&s.wg, &stop, dst, pa, pb, 2, 0, pa.MP, 1, -127, 127)
+	if dst[0] == sentinel {
+		t.Error("gemm8Chunk wrote nothing with the stop flag clear")
 	}
 	s.wg.Wait()
 }

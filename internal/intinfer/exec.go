@@ -24,10 +24,10 @@ type activation struct {
 }
 
 // scratch is the per-worker arena a Plan's inference loop runs out of:
-// a free list of equally sized activation buffers, the im2col patch
-// buffer, and the logits buffer. One scratch serves one in-flight Infer;
-// Plan recycles them through a sync.Pool so steady-state inference
-// performs no heap allocations after warmup.
+// a free list of equally sized activation buffers plus the kernels'
+// patch, panel and conversion buffers. One scratch serves one in-flight
+// Infer; Plan recycles them through a sync.Pool so steady-state
+// inference performs no heap allocations after warmup.
 //
 // Buffer discipline inside exec: in-place steps (ReLU, flatten) return
 // their input buffer; every other step gets an output buffer from the
@@ -41,7 +41,6 @@ type scratch struct {
 	free    [][]int32 // available activation buffers, each cap bufCap
 	all     [][]int32 // every arena-owned buffer, the reset source
 	bufCap  int
-	im2col  []int32
 	colU8   []uint8   // offset-u8 patch matrix (packed int8 GEMM path)
 	bpack   []uint8   // PackB panel buffer (packed int8 GEMM path)
 	xf, yf  []float64 // ping-pong float64 code buffers (GemvF64 path)
@@ -56,11 +55,10 @@ type scratch struct {
 func (p *Plan) newScratch() *scratch {
 	p.pm.scratchNew.Inc()
 	s := &scratch{free: make([][]int32, p.bufCount), bufCap: p.maxAct,
-		im2col: make([]int32, p.maxCol), xf: make([]float64, p.maxLin),
-		yf: make([]float64, p.maxLin), logits: make([]float32, p.classes),
+		xf: make([]float64, p.maxLin), yf: make([]float64, p.maxLin),
 		colU8: make([]uint8, p.maxColU8), bpack: make([]uint8, p.maxPackB),
 		bx: make([]uint8, p.lin8Buf), by: make([]uint8, p.lin8Buf),
-		lin32: make([]int32, p.lin8Buf)}
+		lin32: make([]int32, p.lin8Buf), logits: make([]float32, p.classes)}
 	for i := range s.free {
 		s.free[i] = make([]int32, p.maxAct)
 	}
@@ -135,7 +133,7 @@ func (p *Plan) failRelease(s *scratch) {
 }
 
 // stopped polls the cooperative cancellation flag. It is checked between
-// plan steps and between GEMM/GEMV row partitions, so a batch failure
+// plan steps and between kernel row partitions, so a batch failure
 // interrupts even a single large in-flight layer instead of waiting for
 // the whole image to finish.
 func (s *scratch) stopped() bool { return s.stop != nil && s.stop.Load() }
@@ -271,16 +269,24 @@ func (p *Plan) classify(img []float32, workers int, stop *atomic.Bool) (int, err
 		p.failRelease(s)
 		return 0, err
 	}
-	best := 0
-	for i, c := range act.data {
-		if c > act.data[best] {
-			best = i
-		}
-	}
+	best := argmax(act.data)
 	s.put(act.data)
 	p.released(s)
 	p.arena.Put(s)
 	return best, nil
+}
+
+// argmax returns the index of the largest code (the first on ties). The
+// output scale is positive, so the argmax over codes equals the argmax
+// over logits.
+func argmax(codes []int32) int {
+	best := 0
+	for i, c := range codes {
+		if c > codes[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // InferBatch classifies a batch and returns predictions, holding one
@@ -313,13 +319,7 @@ func (p *Plan) inferBatchSerial(images [][]float32, stop *atomic.Bool) ([]int, e
 			}
 			return nil, fmt.Errorf("intinfer: image %d: %w", i, err)
 		}
-		best := 0
-		for j, c := range act.data {
-			if c > act.data[best] {
-				best = j
-			}
-		}
-		preds[i] = best
+		preds[i] = argmax(act.data)
 		s.put(act.data)
 	}
 	p.released(s)
@@ -505,62 +505,19 @@ func requant(acc int64, m float64, lo, hi int32) int32 {
 }
 
 // intraMinWork is the multiply-accumulate count above which a single
-// layer's GEMM rows are partitioned across goroutines. A variable so the
+// layer's output rows are partitioned across goroutines. A variable so the
 // race tests can force the parallel path on small models.
 var intraMinWork = 1 << 21
 
-// gemm runs the blocked GEMM, splitting output rows across workers when
-// the layer is large enough to amortize the fan-out. Workers write
-// disjoint row ranges of dst, so no synchronization beyond the
-// WaitGroup (owned by the scratch, so the fan-out itself is
-// allocation-free) is needed.
-func (p *Plan) gemm(s *scratch, dst, a, b, bias []int32, m, n, k int) {
-	p.pm.dispatchGemm.Inc()
-	workers := s.workers
-	if max := m / 4; workers > max {
-		workers = max // keep at least four rows (one block) per worker
-	}
-	if workers <= 1 || m*n*k < intraMinWork {
-		kernels.Gemm(dst, a, b, bias, m, n, k)
-		return
-	}
-	chunk := (m + workers - 1) / workers
-	chunk = (chunk + 3) &^ 3 // whole 4-row blocks keep the kernel hot
-	for r0 := 0; r0 < m; r0 += chunk {
-		r1 := r0 + chunk
-		if r1 > m {
-			r1 = m
-		}
-		var bc []int32
-		if bias != nil {
-			bc = bias[r0:r1]
-		}
-		s.wg.Add(1)
-		go gemmChunk(&s.wg, s.stop, dst[r0*n:r1*n], a[r0*k:r1*k], b, bc, r1-r0, n, k)
-	}
-	s.wg.Wait()
-}
-
-// Chunk workers poll the cancellation flag before touching the kernel:
-// once it is set their output rows are never read (run aborts at the
-// next step boundary), so skipping the compute is safe and lets a batch
-// failure cut short even a large in-flight layer.
-func gemmChunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, b, bias []int32, m, n, k int) {
-	defer wg.Done()
-	if stop != nil && stop.Load() {
-		return
-	}
-	kernels.Gemm(dst, a, b, bias, m, n, k)
-}
-
 // gemm8 runs the packed int8 GEMM with the fused requant over the k×n
 // offset-u8 matrix u8: PackBBlocked lays the panels out with the
-// step's autotuned (NR, KC) traversal, then the 4-row output panels
-// split across workers in whole MR-row blocks, like gemm splits rows.
-// Panels map to disjoint dst rows, so workers need no synchronization
-// beyond the scratch-owned WaitGroup. The single-threaded path goes
-// through Gemm8Tuned, so the executed loop is exactly the shape the
-// autotuner timed.
+// step's autotuned (NR, KC) traversal, then, when the layer is large
+// enough to amortize the fan-out, the 4-row output panels split across
+// workers in whole MR-row blocks. Panels map to disjoint dst rows, so
+// workers need no synchronization beyond the WaitGroup (owned by the
+// scratch, so the fan-out itself is allocation-free). The
+// single-threaded path goes through Gemm8Tuned, so the executed loop is
+// exactly the shape the autotuner timed.
 func (p *Plan) gemm8(s *scratch, dst []int32, pa *kernels.PackedA, u8 []uint8,
 	n int, t kernels.Tile, mult float64, lo, hi int32) {
 	pb := s.bpack[:kernels.PackBSize(pa.K, n)]
@@ -587,6 +544,10 @@ func (p *Plan) gemm8(s *scratch, dst []int32, pa *kernels.PackedA, u8 []uint8,
 	s.wg.Wait()
 }
 
+// Chunk workers poll the cancellation flag before touching the kernel:
+// once it is set their output rows are never read (run aborts at the
+// next step boundary), so skipping the compute is safe and lets a batch
+// failure cut short even a large in-flight layer.
 func gemm8Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst []int32,
 	pa *kernels.PackedA, pb []uint8, n, p0, p1 int, mult float64, lo, hi int32) {
 	defer wg.Done()
@@ -596,39 +557,9 @@ func gemm8Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst []int32,
 	kernels.Gemm8Rows(dst, pa, pb, n, p0, p1, mult, lo, hi)
 }
 
-// gemv is the n=1 analogue for linear layers.
-func (p *Plan) gemv(s *scratch, dst, a, x, bias []int32, m, k int) {
-	p.pm.dispatchGemv.Inc()
-	workers := s.workers
-	if max := m / 8; workers > max {
-		workers = max
-	}
-	if workers <= 1 || m*k < intraMinWork {
-		kernels.GemvRows(dst, a, x, bias, 0, m, k)
-		return
-	}
-	chunk := (m + workers - 1) / workers
-	for r0 := 0; r0 < m; r0 += chunk {
-		r1 := r0 + chunk
-		if r1 > m {
-			r1 = m
-		}
-		s.wg.Add(1)
-		go gemvChunk(&s.wg, s.stop, dst, a, x, bias, r0, r1, k)
-	}
-	s.wg.Wait()
-}
-
-func gemvChunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []int32, r0, r1, k int) {
-	defer wg.Done()
-	if stop != nil && stop.Load() {
-		return
-	}
-	kernels.GemvRows(dst, a, x, bias, r0, r1, k)
-}
-
-// gemvF64 mirrors gemv for the float64-carried linear fast path; workers
-// write disjoint row ranges of dst and share the read-only x.
+// gemvF64 runs the float64-carried linear fast path, splitting output
+// rows across workers like gemm8 splits panels; workers write disjoint
+// row ranges of dst and share the read-only x.
 func (p *Plan) gemvF64(s *scratch, dst, a, x, bias []float64,
 	m, k int, mult, lo, hi float64) {
 	p.pm.dispatchGemvF64.Inc()
@@ -661,11 +592,11 @@ func gemvF64Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []float
 	kernels.GemvF64(dst, a, x, bias, r0, r1, k, mult, lo, hi)
 }
 
-// execConv lowers the convolution to im2col + per-group GEMM when the
-// build-time overflow check admitted the int32 accumulator (st.gemmOK);
-// otherwise it falls back to the direct 7-deep loop with 64-bit
-// accumulation. 1×1 stride-1 unpadded convolutions skip im2col entirely
-// — the input layout already is the patch matrix.
+// execConv lowers the convolution to an offset-u8 im2col + per-group
+// packed GEMM when the build-time bound admitted it (st.pack8);
+// otherwise it runs the direct 7-deep loop with 64-bit accumulation.
+// 1×1 stride-1 unpadded convolutions skip im2col entirely — the input
+// layout already is the patch matrix.
 func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) {
 	g := st.geom
 	if in.c != g.inC || in.h != g.inH || in.w != g.inW {
@@ -678,56 +609,37 @@ func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) 
 	oPerG := g.outC / g.groups
 	kk := cPerG * g.kh * g.kw
 	n := g.outH * g.outW
-	if !st.gemmOK {
+	if st.pack8 == nil {
 		p.pm.dispatchDirect.Inc()
 		execConvDirect(st, in, out)
 		s.put(in.data)
 		return out, nil
 	}
+	// Packed int8 SIMD path: the patch matrix is built directly in the
+	// offset-u8 domain, laid out into microkernel panels, and the
+	// requantization runs fused inside the kernel's register tile —
+	// out.data receives final codes with no int32 round-trip pass.
 	pointwise := g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
-	if st.pack8 != nil {
-		// Packed int8 SIMD path: the patch matrix is built directly in
-		// the offset-u8 domain, laid out into microkernel panels, and the
-		// requantization runs fused inside the kernel's register tile —
-		// out.data receives final codes with no int32 round-trip pass.
-		for grp := 0; grp < g.groups; grp++ {
-			b := in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW]
-			u8 := s.colU8[:kk*n]
-			if pointwise {
-				kernels.OffsetU8(u8, b)
-			} else {
-				kernels.Im2colU8(u8, b, cPerG, g.inH, g.inW, g.kh, g.kw,
-					g.stride, g.pad, g.outH, g.outW)
-			}
-			p.pm.dispatchGemm8.Inc()
-			p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], u8,
-				n, st.tile, st.mult, st.lo, st.hi)
-		}
-		s.put(in.data)
-		return out, nil
-	}
 	for grp := 0; grp < g.groups; grp++ {
 		b := in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW]
-		if !pointwise {
-			col := s.im2col[:kk*n]
-			kernels.Im2col(col, b, cPerG, g.inH, g.inW, g.kh, g.kw,
+		u8 := s.colU8[:kk*n]
+		if pointwise {
+			kernels.OffsetU8(u8, b)
+		} else {
+			kernels.Im2colU8(u8, b, cPerG, g.inH, g.inW, g.kh, g.kw,
 				g.stride, g.pad, g.outH, g.outW)
-			b = col
 		}
-		p.gemm(s, out.data[grp*oPerG*n:][:oPerG*n],
-			st.weights[grp*oPerG*kk:][:oPerG*kk], b,
-			st.bias[grp*oPerG:][:oPerG], oPerG, n, kk)
-	}
-	for i, acc := range out.data {
-		out.data[i] = requant(int64(acc), st.mult, st.lo, st.hi)
+		p.pm.dispatchGemm8.Inc()
+		p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], u8,
+			n, st.tile, st.mult, st.lo, st.hi)
 	}
 	s.put(in.data)
 	return out, nil
 }
 
-// execConvDirect is the reference implementation the GEMM path is tested
-// bit-exact against, and the fallback for geometries whose dot products
-// could overflow an int32 accumulator.
+// execConvDirect is the reference implementation the packed path is
+// tested bit-exact against, and the fallback for geometries whose dot
+// products could overflow the packed kernel's int32 accumulator.
 func execConvDirect(st step, in, out activation) {
 	g := st.geom
 	cPerG := g.inC / g.groups
@@ -768,11 +680,10 @@ func (p *Plan) execLinear(st step, in activation, s *scratch) (activation, error
 		return in, fmt.Errorf("linear input %d values, want %d", len(in.data), st.cols)
 	}
 	out := activation{data: s.get(st.rows), flat: true}
-	switch {
-	case st.wf64 != nil:
+	if st.wf64 != nil {
 		// Fast path: float64-carried MACs with the requant fused into the
 		// kernel. Exactness is proven at build time, so this is
-		// bit-identical to the int32 path below (and the direct one).
+		// bit-identical to the direct reference.
 		xf := s.xf[:st.cols]
 		for i, v := range in.data {
 			xf[i] = float64(v)
@@ -784,28 +695,7 @@ func (p *Plan) execLinear(st step, in activation, s *scratch) (activation, error
 			//trlint:checked GemvF64 clamps every code to the step's [lo, hi]
 			out.data[i] = int32(v)
 		}
-	case st.pack8lin != nil:
-		// GEMV-shaped packed dispatch: offset the input into the u8
-		// domain (padding the odd-k tap with 128, the offset zero) and
-		// run the packed panels against it with the requant fused. In
-		// practice the float64 lane above shadows this arm — packed
-		// admission implies f64 admission — so it serves plans whose
-		// f64 copies were disabled, and the batched lane (linear8.go)
-		// where the real win lives.
-		p.pm.dispatchLinear8.Inc()
-		pa := st.pack8lin
-		xu := s.bx[:2*pa.KQ]
-		kernels.OffsetU8(xu[:st.cols], in.data)
-		if st.cols < len(xu) {
-			xu[st.cols] = 128
-		}
-		kernels.Gemv8Rows(out.data, pa, xu, 0, pa.MP, st.mult, st.lo, st.hi)
-	case st.gemmOK:
-		p.gemv(s, out.data, st.weights, in.data, st.bias, st.rows, st.cols)
-		for i, acc := range out.data {
-			out.data[i] = requant(int64(acc), st.mult, st.lo, st.hi)
-		}
-	default:
+	} else {
 		p.pm.dispatchDirect.Inc()
 		execLinearDirect(st, in, out)
 	}
@@ -814,7 +704,7 @@ func (p *Plan) execLinear(st step, in activation, s *scratch) (activation, error
 }
 
 // execLinearDirect is the 64-bit fallback and golden reference for the
-// GEMV paths.
+// float64 GEMV.
 func execLinearDirect(st step, in, out activation) {
 	for r := 0; r < st.rows; r++ {
 		acc := int64(st.bias[r])
@@ -873,7 +763,7 @@ func (p *Plan) classifyLabelled(img []float32, idx, workers int, stop *atomic.Bo
 // selects GOMAXPROCS. The first error stops all workers: each checks a
 // shared atomic flag before starting an image, and the flag is threaded
 // into every in-flight inference, where it is re-checked between plan
-// steps and between GEMM/GEMV row partitions — so a failure early in
+// steps and between kernel row partitions — so a failure early in
 // the batch interrupts even a large half-finished layer instead of
 // letting the remaining workers grind through the rest. The returned
 // error wraps the index of the image that failed.

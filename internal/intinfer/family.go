@@ -79,7 +79,6 @@ func (f *Family) share() {
 	top := f.plans[len(f.plans)-1]
 	for _, p := range f.plans[:len(f.plans)-1] {
 		top.maxAct = max(top.maxAct, p.maxAct)
-		top.maxCol = max(top.maxCol, p.maxCol)
 		top.maxColU8 = max(top.maxColU8, p.maxColU8)
 		top.maxPackB = max(top.maxPackB, p.maxPackB)
 		top.maxLin = max(top.maxLin, p.maxLin)
@@ -89,7 +88,6 @@ func (f *Family) share() {
 	pool := &sync.Pool{New: func() any { return top.newScratch() }}
 	for _, p := range f.plans {
 		p.maxAct = top.maxAct
-		p.maxCol = top.maxCol
 		p.maxColU8 = top.maxColU8
 		p.maxPackB = top.maxPackB
 		p.maxLin = top.maxLin
@@ -122,7 +120,11 @@ func shareSteps(dst, src []step) {
 			d.weights = s.weights
 			d.wf64 = s.wf64
 			d.pack8 = s.pack8
-			d.pack8lin = s.pack8lin
+			// Panels exist only on linear8 plans, and whether a rung is
+			// one depends on all its layers: alias only between two.
+			if d.pack8lin != nil && s.pack8lin != nil {
+				d.pack8lin = s.pack8lin
+			}
 		}
 		if slices.Equal(d.bias, s.bias) {
 			d.bias = s.bias

@@ -96,7 +96,6 @@ type step struct {
 	outScale   float32 // sy: static output scale
 	rows, cols int     // linear dims (rows=out, cols=in)
 	mult       float64 // requant multiplier sw·sx/sy, fixed at build
-	gemmOK     bool    // int32 accumulation proven overflow-free
 	// Post-requant clamp bounds. [-127, 127] by default; a ReLU folded
 	// into this step at compile time raises lo to 0 (and lowers hi to the
 	// relu6-style cap), which is bit-identical to running the ReLU as its
@@ -105,19 +104,17 @@ type step struct {
 	// Float64 copies of the codes for the linear fast path: float64
 	// multiplies dual-issue on the FP ports while int32 multiplies are
 	// confined to one, and kernels.ExactF64 proves the arithmetic stays
-	// integer-exact, so results are bit-identical to the int32 kernel.
+	// integer-exact, so results are bit-identical to the direct
+	// reference. Nil when the step was not admitted.
 	wf64, bf64 []float64
 	// pack8[g] is group g's weight matrix in packed panel form for the
 	// int8 SIMD GEMM, built once at compile time; nil when the conv was
 	// not admitted (kernels.AccumFitsU8).
 	pack8 []*kernels.PackedA
-	// pack8lin is the linear analogue: the weight matrix in packed
-	// panel form when kernels.AccumFitsU8 admits it. Batched inference
-	// runs B images through it as one M×B×K GEMM (the n=1 objection to
-	// packing linears — 15/16 of each 16-wide panel wasted — vanishes
-	// once the batch supplies the columns); single-image dispatch keeps
-	// preferring the float64 express kernels, with Gemv8Rows as the
-	// packed GEMV shape behind them.
+	// pack8lin is the linear analogue, present only on plans admitted to
+	// the batched lane (Plan.linear8): micro-batches of B ≥ 2 images run
+	// through it as one M×B×K GEMM. A single image would waste 15/16 of
+	// each 16-wide panel, so it takes the float64 lane instead.
 	pack8lin *kernels.PackedA
 	// tile is the autotuned blocking geometry for the packed kernels
 	// (zero value = unblocked). Tiles never change results, only memory
@@ -156,7 +153,6 @@ type Plan struct {
 
 	// Arena geometry, fixed by finalize at build time.
 	maxAct       int  // largest activation (elements) any step produces
-	maxCol       int  // largest per-group im2col patch matrix (elements)
 	maxColU8     int  // largest offset-u8 patch matrix (bytes, packed path)
 	maxPackB     int  // largest PackB panel buffer (bytes, packed path)
 	maxLin       int  // widest buffer a float64-path linear step touches
@@ -354,12 +350,8 @@ func (p *Plan) finalize(opts Options) {
 	p.bufCount = chainBufs(p.steps, 0)
 	p.prepareF64(p.steps)
 	p.express = expressible(p.steps)
-	p.linear8 = batchable(p.steps)
+	p.linear8 = p.packLinears()
 	p.tuneSteps()
-	p.sizeLinear8(p.steps)
-	if p.maxCol == 0 {
-		p.maxCol = 1 // keep the slice non-nil paths trivial
-	}
 	p.intraWorkers = opts.IntraWorkers
 	if p.intraWorkers < 1 {
 		p.intraWorkers = runtime.GOMAXPROCS(0)
@@ -369,31 +361,54 @@ func (p *Plan) finalize(opts Options) {
 	p.arena = &sync.Pool{New: func() any { return p.newScratch() }}
 }
 
-// batchable reports whether a plan can run whole micro-batches on the
-// packed int8 lane: nothing but shape-only flattens and packed-admitted
-// linear steps, with at least one linear. Such plans carry a k×B
-// offset-u8 activation matrix between layers and run each layer as one
-// M×B×K GEMM instead of B GEMVs.
-func batchable(steps []step) bool {
+// packLinears admits a plan to the batched packed-int8 lane: nothing
+// but shape-only flattens and linear steps, with at least one linear,
+// each passing kernels.AccumFitsU8. Only an admitted plan keeps the
+// packed panels (pack8lin) and sizes the lane's scratch; it reports
+// whether the plan was admitted. Such plans carry a k×B offset-u8
+// activation matrix between layers and run each layer as one M×B×K GEMM
+// instead of B GEMVs. Admission implies the float64 lane's
+// (kernels.AccumFitsU8 ⇒ kernels.ExactF64), so an admitted plan is also
+// expressible and can run a lone image there.
+func (p *Plan) packLinears() bool {
+	packs := make([]*kernels.PackedA, len(p.steps))
 	linears := 0
-	for i := range steps {
-		switch steps[i].kind {
+	for i := range p.steps {
+		st := &p.steps[i]
+		switch st.kind {
 		case kindFlatten:
 		case kindLinear:
-			if steps[i].pack8lin == nil {
+			// The compensated-bias magnitude only the pack computes
+			// decides admission, so pack first and keep the panels only
+			// if the bound holds.
+			pa := kernels.PackA(st.weights, st.bias, st.rows, st.cols)
+			if !kernels.AccumFitsU8(st.cols, maxAbs32(st.weights), pa.BiasMax()) {
 				return false
 			}
+			packs[i] = pa
 			linears++
 		default:
 			return false
 		}
+	}
+	for i, pa := range packs {
+		if pa == nil {
+			continue
+		}
+		// The offset-u8 ping-pong matrices and the int32 code matrix
+		// hold up to max(k, m) rows by linear8Cols columns; the PackB
+		// panel buffer must fit the widest layer.
+		st := &p.steps[i]
+		st.pack8lin = pa
+		p.lin8Buf = max(p.lin8Buf, max(st.cols, st.rows)*linear8Cols)
+		p.maxPackB = max(p.maxPackB, kernels.PackBSize(st.cols, linear8Cols))
 	}
 	return linears > 0
 }
 
 // tuneSteps asks the autotuner for a tile per packed step, keyed by the
 // geometry the kernel will actually run: per-group dimensions for
-// convs, the micro-batch column count for batch-lane linears. All of a
+// convs, the micro-batch chunk width for batch-lane linears. All of a
 // plan's geometries go to one autotune.PickAll, so a cold cache is
 // written once per plan build. Tile choice never affects results
 // (kernels.Tile), so a plan built with a cold cache and one built with a
@@ -421,12 +436,8 @@ func (p *Plan) tuneGeoms(steps []step, packed []*step, geoms []autotune.Geometry
 			geoms = append(geoms, autotune.Geometry{M: g.outC / g.groups,
 				K: (g.inC / g.groups) * g.kh * g.kw, N: g.outH * g.outW})
 		case st.kind == kindLinear && st.pack8lin != nil:
-			n := 1
-			if p.linear8 {
-				n = linear8Cols
-			}
 			packed = append(packed, st)
-			geoms = append(geoms, autotune.Geometry{M: st.rows, K: st.cols, N: n})
+			geoms = append(geoms, autotune.Geometry{M: st.rows, K: st.cols, N: linear8Cols})
 		case st.kind == kindResidual:
 			packed, geoms = p.tuneGeoms(st.body, packed, geoms)
 			if st.proj != nil {
@@ -437,57 +448,17 @@ func (p *Plan) tuneGeoms(steps []step, packed []*step, geoms []autotune.Geometry
 	return packed, geoms
 }
 
-// sizeLinear8 sizes the packed-linear lane's scratch buffers: the
-// offset-u8 ping-pong matrices and the int32 code matrix hold up to
-// max(k rounded up to the tap-pair depth, m) rows by linear8Cols
-// columns (one column on plans that only ever dispatch the GEMV
-// shape), and the PackB panel buffer must fit the widest batched
-// layer.
-func (p *Plan) sizeLinear8(steps []step) {
-	for i := range steps {
-		st := &steps[i]
-		switch st.kind {
-		case kindLinear:
-			if st.pack8lin == nil {
-				continue
-			}
-			cols := linear8Cols
-			if !p.linear8 {
-				cols = 1
-			}
-			dim := (st.cols + 1) / 2 * 2 // odd k pads one 128 tap
-			if st.rows > dim {
-				dim = st.rows
-			}
-			if dim*cols > p.lin8Buf {
-				p.lin8Buf = dim * cols
-			}
-			if p.linear8 {
-				if pb := kernels.PackBSize(st.cols, linear8Cols); pb > p.maxPackB {
-					p.maxPackB = pb
-				}
-			}
-		case kindResidual:
-			p.sizeLinear8(st.body)
-			if st.proj != nil {
-				p.sizeLinear8(st.proj)
-			}
-		}
-	}
-}
-
 // prepareF64 materializes float64 copies of every admissible linear
 // step's codes and records the widest such input for the scratch arena's
 // conversion buffer. Admission requires the dot product to stay exactly
-// representable in float64 (kernels.ExactF64) — a strictly weaker bound
-// than the int32 one, so every gemmOK linear step qualifies.
+// representable in float64 (kernels.ExactF64); a linear it rejects runs
+// the direct 64-bit reference.
 func (p *Plan) prepareF64(steps []step) {
 	for i := range steps {
 		st := &steps[i]
 		switch st.kind {
 		case kindLinear:
-			if !st.gemmOK ||
-				!kernels.ExactF64(st.cols, maxAbs32(st.weights), 127, maxAbs32(st.bias)) {
+			if !kernels.ExactF64(st.cols, maxAbs32(st.weights), 127, maxAbs32(st.bias)) {
 				continue
 			}
 			st.wf64 = make([]float64, len(st.weights))
@@ -551,22 +522,15 @@ func (p *Plan) sizeChain(steps []step, c, h, w int) (int, int, int) {
 			g := st.geom
 			c, h, w = g.outC, g.outH, g.outW
 			p.noteAct(c * h * w)
-			kk := (g.inC / g.groups) * g.kh * g.kw
-			n := g.outH * g.outW
-			pointwise := g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
-			switch {
-			case st.pack8 != nil:
-				// Packed path: offset-u8 patch matrix + PackB panels; the
-				// int32 im2col buffer is never touched by this step.
+			if st.pack8 != nil {
+				// Packed path: offset-u8 patch matrix + PackB panels.
+				kk := (g.inC / g.groups) * g.kh * g.kw
+				n := g.outH * g.outW
 				if u8 := kk * n; u8 > p.maxColU8 {
 					p.maxColU8 = u8
 				}
 				if pb := kernels.PackBSize(kk, n); pb > p.maxPackB {
 					p.maxPackB = pb
-				}
-			case st.gemmOK && !pointwise:
-				if col := kk * n; col > p.maxCol {
-					p.maxCol = col
 				}
 			}
 		case kindLinear:
@@ -854,14 +818,6 @@ func maxAbs32(v []int32) int64 {
 	return m
 }
 
-// admitGemm decides at build time whether a k-deep dot product over the
-// step's weight codes can accumulate in int32 (activation codes are
-// always clamped to |x| ≤ 127). If not, exec falls back to the direct
-// 64-bit loops.
-func admitGemm(weights, bias []int32, k int) bool {
-	return kernels.AccumFits(k, maxAbs32(weights), 127, maxAbs32(bias))
-}
-
 func (c *compiler) compileConv(v *nn.Conv2D, sx, sy float32) (step, error) {
 	g := v.Geom
 	kk := (g.InC / g.Groups) * g.KH * g.KW
@@ -879,10 +835,7 @@ func (c *compiler) compileConv(v *nn.Conv2D, sx, sy float32) (step, error) {
 			st.bias[i] = sat32(math.Round(float64(b) / acc))
 		}
 	}
-	st.gemmOK = admitGemm(st.weights, st.bias, kk)
-	if st.gemmOK {
-		packConvWeights(&st, kk)
-	}
+	packConvWeights(&st, kk)
 	return st, nil
 }
 
@@ -890,7 +843,7 @@ func (c *compiler) compileConv(v *nn.Conv2D, sx, sy float32) (step, error) {
 // weights, one PackedA per group. Admission (kernels.AccumFitsU8)
 // depends on each group's compensated-bias magnitude, which only the
 // pack itself computes, so packing is speculative: if any group fails
-// the bound, pack8 stays nil and the step keeps the scalar GEMM path.
+// the bound, pack8 stays nil and the step runs the direct reference.
 func packConvWeights(st *step, kk int) {
 	g := st.geom
 	oPerG := g.outC / g.groups
@@ -916,17 +869,6 @@ func (c *compiler) compileLinear(v *nn.Linear, sx, sy float32) (step, error) {
 	acc := float64(sw) * float64(sx)
 	for i, b := range v.Bias.W.Data {
 		st.bias[i] = sat32(math.Round(float64(b) / acc))
-	}
-	st.gemmOK = admitGemm(st.weights, st.bias, v.In)
-	if st.gemmOK {
-		// Speculative packed admission, mirroring packConvWeights: the
-		// compensated-bias magnitude only the pack computes decides
-		// kernels.AccumFitsU8, so pack first and keep the panels only if
-		// the bound holds.
-		pa := kernels.PackA(st.weights, st.bias, v.Out, v.In)
-		if kernels.AccumFitsU8(v.In, maxAbs32(st.weights), pa.BiasMax()) {
-			st.pack8lin = pa
-		}
 	}
 	return st, nil
 }

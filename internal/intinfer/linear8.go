@@ -141,14 +141,24 @@ func (p *Plan) linear8Span(images [][]float32, preds []int, base int, s *scratch
 }
 
 // linear8Chunk runs one micro-batch of b ≤ linear8Cols images through
-// the step chain. b == 1 dispatches the GEMV-shaped kernel — a single
-// column would waste 15/16 of every 16-wide panel — and wider chunks
-// the batched GEMM; both produce the per-image codes exactly.
+// the step chain as batched GEMMs. A chunk of one image runs the
+// float64 express lane on the same scratch instead — a single column
+// would waste 15/16 of every 16-wide panel — which packLinears
+// guarantees the plan admits. Both produce the per-image codes exactly.
 func (p *Plan) linear8Chunk(images [][]float32, preds []int, s *scratch) error {
 	b := len(images)
 	p.pm.infers.Add(int64(b))
 	if s.stopped() {
 		return errStopped
+	}
+	if b == 1 {
+		act, err := p.runExpress(images[0], s)
+		if err != nil {
+			return err
+		}
+		preds[0] = argmax(act.data)
+		s.put(act.data)
+		return nil
 	}
 	// Input quantizer, straight into the offset-u8 domain: the same
 	// reciprocal multiply + magic round + clamp as run, with the +128
@@ -175,7 +185,7 @@ func (p *Plan) linear8Chunk(images [][]float32, preds []int, s *scratch) error {
 			continue // shape-only
 		case kindLinear:
 		default:
-			// Unreachable for a plan finalize admitted (batchable), but a
+			// Unreachable for a plan finalize admitted (packLinears), but a
 			// mutated plan must fail like the general executor, not be
 			// silently skipped.
 			return fmt.Errorf("unknown step kind %d", st.kind)
@@ -192,17 +202,8 @@ func (p *Plan) linear8Chunk(images [][]float32, preds []int, s *scratch) error {
 			start = time.Now()
 		}
 		p.pm.dispatchLinear8.Inc()
-		pa := st.pack8lin
 		y := s.lin32[:st.rows*b]
-		if b == 1 {
-			xu := cur[:2*pa.KQ]
-			if st.cols < len(xu) {
-				xu[st.cols] = 128 // odd-k pad tap, the offset zero
-			}
-			kernels.Gemv8Rows(y, pa, xu, 0, pa.MP, st.mult, st.lo, st.hi)
-		} else {
-			p.gemm8(s, y, pa, cur[:st.cols*b], b, st.tile, st.mult, st.lo, st.hi)
-		}
+		p.gemm8(s, y, st.pack8lin, cur[:st.cols*b], b, st.tile, st.mult, st.lo, st.hi)
 		// Re-offset the fresh codes for the next layer's B operand. The
 		// final layer's pass is cheap (classes × b bytes) and keeps the
 		// loop uniform.

@@ -144,20 +144,17 @@ func TestIm2colGemmRandomGeometries(t *testing.T) {
 			continue
 		}
 		kk := c * kh * kw
-		n := outH * outW
 		src := randCodes(rng, c*h*w)
 		wts := randCodes(rng, outC*kk)
 		bias := randCodes(rng, outC)
 		want := naiveConv(src, wts, bias, c, h, w, outC, kh, kw, stride, pad, outH, outW)
 
-		col := make([]int32, kk*n)
-		Im2col(col, src, c, h, w, kh, kw, stride, pad, outH, outW)
-		got := make([]int32, outC*n)
-		Gemm(got, wts, col, bias, outC, n, kk)
+		mult := 1.0 / float64(1+rng.Intn(4000))
+		got := packedConv(src, wts, bias, c, h, w, outC, kh, kw, stride, pad, outH, outW, mult, -127, 127)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (c=%d h=%d w=%d k=%dx%d s=%d p=%d outC=%d): element %d: gemm %d, naive %d",
-					trial, c, h, w, kh, kw, stride, pad, outC, i, got[i], want[i])
+			if r := refRequant(int64(want[i]), mult, -127, 127); got[i] != r {
+				t.Fatalf("trial %d (c=%d h=%d w=%d k=%dx%d s=%d p=%d outC=%d): element %d: packed %d, naive %d",
+					trial, c, h, w, kh, kw, stride, pad, outC, i, got[i], r)
 			}
 		}
 	}

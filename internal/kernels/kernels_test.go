@@ -1,12 +1,14 @@
 package kernels
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// naiveConv is the reference the GEMM lowering must match bit-for-bit:
-// the direct 6-deep convolution loop over a single group.
+// naiveConv is the reference the im2col + GEMM lowering must match
+// bit-for-bit: the direct 6-deep convolution loop over a single group,
+// returning the raw accumulators.
 func naiveConv(src, w, bias []int32, c, h, wid, outC, kh, kw, stride, pad, outH, outW int) []int32 {
 	out := make([]int32, outC*outH*outW)
 	kk := c * kh * kw
@@ -45,6 +47,73 @@ func randCodes(rng *rand.Rand, n int) []int32 {
 	return out
 }
 
+// refGemm is the naive oracle the packed kernels are checked against:
+// bias ⊕ A·B for an m×k A and a k×n B (row-major), accumulated in
+// int64 so no operand range can overflow it.
+func refGemm(a, b, bias []int32, m, n, k int) []int64 {
+	out := make([]int64, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			acc := int64(bias[i])
+			for q := 0; q < k; q++ {
+				acc += int64(a[i*k+q]) * int64(b[q*n+j])
+			}
+			out[i*n+j] = acc
+		}
+	}
+	return out
+}
+
+// TestGemmNilBiasAndOddRows checks the packed GEMM's raw accumulators
+// for the shapes the m%4 sweep of TestGemm8RowsMatchesGemmRequant does
+// not reach: fewer than four rows (a single, partly padded panel) and a
+// zero bias, where only PackA's u8-offset compensation remains in the
+// panel bias. A unit multiplier and a full-int32 clamp leave every
+// accumulator unrounded, so the output must equal A·B exactly.
+func TestGemmNilBiasAndOddRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 8} {
+		n, k := 6, 9
+		a := randCodes(rng, m*k)
+		b := randCodes(rng, k*n)
+		pa := PackA(a, make([]int32, m), m, k)
+		bu := make([]uint8, k*n)
+		OffsetU8(bu, b)
+		pb := make([]uint8, PackBSize(k, n))
+		PackB(pb, bu, k, n)
+		got := make([]int32, m*n)
+		Gemm8Rows(got, pa, pb, n, 0, pa.MP, 1, math.MinInt32, math.MaxInt32)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var want int32
+				for q := 0; q < k; q++ {
+					want += a[i*k+q] * b[q*n+j]
+				}
+				if got[i*n+j] != want {
+					t.Fatalf("m=%d (%d,%d): got %d want %d", m, i, j, got[i*n+j], want)
+				}
+			}
+		}
+	}
+}
+
+// packedConv runs one convolution group through the executor's packed
+// lowering — Im2colU8 patches, PackA/PackB panels, Gemm8Rows with the
+// requant fused — and returns the output codes.
+func packedConv(src, w, bias []int32, c, h, wid, outC, kh, kw, stride, pad, outH, outW int,
+	mult float64, lo, hi int32) []int32 {
+	kk := c * kh * kw
+	n := outH * outW
+	u8 := make([]uint8, kk*n)
+	Im2colU8(u8, src, c, h, wid, kh, kw, stride, pad, outH, outW)
+	pb := make([]uint8, PackBSize(kk, n))
+	PackB(pb, u8, kk, n)
+	pa := PackA(w, bias, outC, kk)
+	out := make([]int32, outC*n)
+	Gemm8Rows(out, pa, pb, n, 0, pa.MP, mult, lo, hi)
+	return out
+}
+
 func TestIm2colGemmMatchesNaiveConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type geom struct{ c, h, w, outC, kh, kw, stride, pad int }
@@ -60,81 +129,17 @@ func TestIm2colGemmMatchesNaiveConv(t *testing.T) {
 		outH := (g.h+2*g.pad-g.kh)/g.stride + 1
 		outW := (g.w+2*g.pad-g.kw)/g.stride + 1
 		kk := g.c * g.kh * g.kw
-		n := outH * outW
 		src := randCodes(rng, g.c*g.h*g.w)
 		w := randCodes(rng, g.outC*kk)
 		bias := randCodes(rng, g.outC)
+		mult := 1.0 / float64(1+rng.Intn(4000))
 		want := naiveConv(src, w, bias, g.c, g.h, g.w, g.outC, g.kh, g.kw, g.stride, g.pad, outH, outW)
-
-		col := make([]int32, kk*n)
-		Im2col(col, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
-		got := make([]int32, g.outC*n)
-		Gemm(got, w, col, bias, g.outC, n, kk)
+		got := packedConv(src, w, bias, g.c, g.h, g.w, g.outC, g.kh, g.kw, g.stride, g.pad, outH, outW,
+			mult, -127, 127)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("geom %+v: element %d: gemm %d, naive %d", g, i, got[i], want[i])
+			if r := refRequant(int64(want[i]), mult, -127, 127); got[i] != r {
+				t.Fatalf("geom %+v: element %d: packed %d, naive %d", g, i, got[i], r)
 			}
 		}
-	}
-}
-
-func TestGemmNilBiasAndOddRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, m := range []int{1, 2, 3, 4, 5, 7, 8} {
-		n, k := 6, 9
-		a := randCodes(rng, m*k)
-		b := randCodes(rng, k*n)
-		got := make([]int32, m*n)
-		Gemm(got, a, b, nil, m, n, k)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var want int32
-				for q := 0; q < k; q++ {
-					want += a[i*k+q] * b[q*n+j]
-				}
-				if got[i*n+j] != want {
-					t.Fatalf("m=%d (%d,%d): got %d want %d", m, i, j, got[i*n+j], want)
-				}
-			}
-		}
-	}
-}
-
-func TestDotAndGemvRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, k := range []int{0, 1, 3, 4, 5, 8, 17, 144} {
-		a := randCodes(rng, k)
-		x := randCodes(rng, k)
-		var want int32
-		for i := range a {
-			want += a[i] * x[i]
-		}
-		if got := Dot(a, x); got != want {
-			t.Fatalf("Dot k=%d: got %d want %d", k, got, want)
-		}
-	}
-	m, k := 7, 17
-	a := randCodes(rng, m*k)
-	x := randCodes(rng, k)
-	bias := randCodes(rng, m)
-	dst := make([]int32, m)
-	GemvRows(dst, a, x, bias, 0, m, k)
-	for r := 0; r < m; r++ {
-		want := bias[r]
-		for q := 0; q < k; q++ {
-			want += a[r*k+q] * x[q]
-		}
-		if dst[r] != want {
-			t.Fatalf("GemvRows row %d: got %d want %d", r, dst[r], want)
-		}
-	}
-}
-
-func TestAccumFits(t *testing.T) {
-	if !AccumFits(1<<16, 127, 127, 1<<20) {
-		t.Error("64K-deep int8 dot should fit int32")
-	}
-	if AccumFits(1<<18, 32767, 127, 0) {
-		t.Error("deep 16-bit-weight dot must not claim to fit")
 	}
 }

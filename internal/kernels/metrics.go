@@ -14,7 +14,6 @@ var (
 	gemvF64Portable *obs.Counter
 	gemm8ASM        *obs.Counter
 	gemm8Portable   *obs.Counter
-	gemv8Portable   *obs.Counter
 )
 
 // SetObs wires (or, with nil, unwires) the package's dispatch counters
@@ -24,7 +23,6 @@ func SetObs(r *obs.Registry) {
 	if r == nil {
 		gemvF64ASM, gemvF64Portable = nil, nil
 		gemm8ASM, gemm8Portable = nil, nil
-		gemv8Portable = nil
 		return
 	}
 	r.Help("trq_kernels_gemvf64_dispatch_total", "GemvF64 calls by kernel implementation")
@@ -33,8 +31,6 @@ func SetObs(r *obs.Registry) {
 	r.Help("trq_kernels_gemm8_dispatch_total", "Gemm8Rows calls by kernel implementation")
 	gemm8ASM = r.Counter("trq_kernels_gemm8_dispatch_total", "path", "asm")
 	gemm8Portable = r.Counter("trq_kernels_gemm8_dispatch_total", "path", "portable")
-	r.Help("trq_kernels_gemv8_dispatch_total", "Gemv8Rows calls by kernel implementation")
-	gemv8Portable = r.Counter("trq_kernels_gemv8_dispatch_total", "path", "portable")
 }
 
 // Features lists the CPU capabilities the kernel dispatchers detected

@@ -2,13 +2,11 @@ package kernels
 
 import "math"
 
-// Packed int8 GEMM path. The scalar Gemm keeps weights and im2col
-// patches as int32 slices and leaves requantization to the caller; the
-// packed path instead repacks each weight matrix once at plan-build
-// time into microkernel-shaped panels, carries the patch matrix as
-// offset-u8 bytes, and fuses the requantization epilogue into the
-// 4×16 register tile, so per-image work is one pass over int8-range
-// data with no int32 round-trip buffer.
+// Packed int8 GEMM path. Each weight matrix is repacked once at
+// plan-build time into microkernel-shaped panels, the patch matrix is
+// carried as offset-u8 bytes, and the requantization epilogue is fused
+// into the 4×16 register tile, so per-image work is one pass over
+// int8-range data with no int32 round-trip buffer.
 //
 // Layouts (MR = 4 output rows, NR = 16 output columns, KU = 2 taps):
 //
@@ -33,7 +31,8 @@ import "math"
 // the compensated bias both fit int32 under AccumFitsU8, VPMADDWD is
 // exact on (≤255)×(≤127) pairs, and the epilogue performs the same
 // float64 multiply/magic-round/clamp sequence as the scalar requant,
-// so the packed path is bit-identical to Gemm + requant.
+// so the packed path is bit-identical to a 64-bit integer GEMM followed
+// by requant.
 
 // PackedA is a weight matrix in packed panel form, built once at plan
 // time by PackA and shared read-only by every inference.
@@ -95,9 +94,10 @@ func (pa *PackedA) BiasMax() int64 { return pa.biasMax }
 // AccumFitsU8 reports whether the packed kernel's int32 accumulator is
 // overflow-free: B entries are offset-u8 codes bounded by 255, so a
 // k-deep dot against |w| ≤ wmax plus a compensated bias of magnitude ≤
-// biasMax must satisfy k·255·wmax + biasMax ≤ MaxInt32. This is the
-// packed analogue of AccumFits (and strictly stronger, so every packed
-// step could also run the scalar int32 path).
+// biasMax must satisfy k·255·wmax + biasMax ≤ MaxInt32. It implies
+// ExactF64(k, wmax, 127, |bias|) for the uncompensated bias (|bias| ≤
+// biasMax + 128·k·wmax, and k·255·wmax + biasMax < 2^31 ≪ 2^53), so
+// every packed linear can also run the float64 GEMV.
 func AccumFitsU8(k int, wmax, biasMax int64) bool {
 	return int64(k)*255*wmax+biasMax <= math.MaxInt32
 }
@@ -186,9 +186,12 @@ func packBPanelTaps(dst, src []uint8, k, n, cp, q0, q1 int) {
 	}
 }
 
-// Im2colU8 is Im2col in the offset-u8 domain: dst receives the
-// (c·kh·kw)×(outH·outW) patch matrix as x+128 bytes, with padding taps
-// written as 128 (the offset image of zero). Activation codes are
+// Im2colU8 lowers a padded strided convolution input to a patch
+// matrix in the offset-u8 domain: src is a c×h×w channel-major image of
+// codes, dst receives the (c·kh·kw)×(outH·outW) row-major matrix whose
+// column j holds the receptive field of output pixel j as x+128 bytes,
+// with padding taps written as 128 (the offset image of zero), so the
+// GEMM consuming dst needs no boundary logic. Activation codes are
 // clamped to [-127, 127] by every producer, so the offset stays in
 // [1, 255].
 func Im2colU8(dst []uint8, src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) {
@@ -205,8 +208,8 @@ func Im2colU8(dst []uint8, src []int32, c, h, w, kh, kw, stride, pad, outH, outW
 }
 
 // im2colRowU8 fills one patch row (fixed channel and kernel tap) with
-// offset-u8 codes, writing 128 only on the padded border — the same
-// border arithmetic as im2colRow.
+// offset-u8 codes, writing 128 only on the padded border (rowSpan):
+// interior spans are gathered with no per-element bounds branch.
 func im2colRowU8(drow []uint8, plane []int32, h, w, ky, kx, stride, pad, outH, outW int) {
 	idx := 0
 	for oy := 0; oy < outH; oy++ {

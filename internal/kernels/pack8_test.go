@@ -9,7 +9,7 @@ import (
 // refRequant is the scalar requantization the packed path fuses: the
 // same float64 multiply, magic-constant round and clamp sequence as
 // intinfer's requant.
-func refRequant(acc int32, mult float64, lo, hi int32) int32 {
+func refRequant(acc int64, mult float64, lo, hi int32) int32 {
 	f := float64(acc)*mult + roundMagic - roundMagic
 	flo, fhi := float64(lo), float64(hi)
 	if f > fhi {
@@ -22,8 +22,8 @@ func refRequant(acc int32, mult float64, lo, hi int32) int32 {
 
 // TestGemm8RowsMatchesGemmRequant is the golden identity the packed
 // path rests on: for every m%4 × n%16 edge remainder and odd/even k,
-// PackA + PackB + Gemm8Rows must equal Gemm followed by scalar
-// requantization, bit for bit. On AVX2 hardware this exercises the
+// PackA + PackB + Gemm8Rows must equal the naive int64 GEMM followed by
+// scalar requantization, bit for bit. On AVX2 hardware this exercises the
 // assembly tile; elsewhere the portable twin — both must pass.
 func TestGemm8RowsMatchesGemmRequant(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -40,15 +40,14 @@ func TestGemm8RowsMatchesGemmRequant(t *testing.T) {
 				}
 				x := randCodes(rng, k*n)
 
-				// Reference: scalar GEMM then scalar requant.
+				// Reference: naive GEMM then scalar requant.
 				mult := 1.0 / float64(1+rng.Intn(200))
 				lo, hi := int32(-127), int32(127)
 				if rng.Intn(2) == 0 {
 					lo = 0 // fused-ReLU window
 				}
 				ref := make([]int32, m*n)
-				Gemm(ref, w, x, bias, m, n, k)
-				for i, v := range ref {
+				for i, v := range refGemm(w, x, bias, m, n, k) {
 					ref[i] = refRequant(v, mult, lo, hi)
 				}
 
@@ -102,6 +101,49 @@ func TestGemm8RowsPanelPartition(t *testing.T) {
 	}
 }
 
+// TestGemm8RowsSaturationBoundary drives the accumulator to the largest
+// magnitudes AccumFitsU8 admits — max-magnitude weights against
+// max-offset activations with a bias near the int32 rim — and checks
+// the packed kernel against the naive int64 GEMM at the extremes, for
+// the one-column shape and a full tile plus an edge.
+func TestGemm8RowsSaturationBoundary(t *testing.T) {
+	const m, k = 4, 32
+	w := make([]int32, m*k)
+	for i := range w {
+		if i%2 == 0 {
+			w[i] = 127
+		} else {
+			w[i] = -127
+		}
+	}
+	bias := []int32{2146000000, -2146000000, 0, 1}
+	pa := PackA(w, bias, m, k)
+	if !AccumFitsU8(k, 127, pa.BiasMax()) {
+		t.Fatalf("boundary geometry not admitted: k=%d wmax=127 biasMax=%d", k, pa.BiasMax())
+	}
+	for _, n := range []int{1, 17} {
+		x := make([]int32, k*n)
+		for i := range x {
+			x[i] = 127 // offset-u8 image 255, the admission bound's worst case
+		}
+		ref := make([]int32, m*n)
+		for i, v := range refGemm(w, x, bias, m, n, k) {
+			ref[i] = refRequant(v, 1e-7, -127, 127)
+		}
+		xu := make([]uint8, k*n)
+		OffsetU8(xu, x)
+		pb := make([]uint8, PackBSize(k, n))
+		PackB(pb, xu, k, n)
+		got := make([]int32, m*n)
+		Gemm8Rows(got, pa, pb, n, 0, pa.MP, 1e-7, -127, 127)
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("n=%d element %d: packed=%d, ref=%d", n, i, got[i], ref[i])
+			}
+		}
+	}
+}
+
 // TestPackACompensation pins the u8-offset identity at the pack level:
 // the packed bias must be bias − 128·Σw per row, and BiasMax must track
 // its largest magnitude before saturation.
@@ -132,9 +174,10 @@ func TestPackACompensation(t *testing.T) {
 	}
 }
 
-// TestAccumFitsU8 pins the admission bound and its relation to the
-// scalar AccumFits: packed admission is strictly stronger, so every
-// packed step could also have run the int32 path.
+// TestAccumFitsU8 pins the admission bound and its relation to
+// ExactF64: packed admission is strictly stronger, so every packed
+// linear can also run the float64 GEMV (the executor sends a batch of
+// one image there).
 func TestAccumFitsU8(t *testing.T) {
 	if !AccumFitsU8(27, 127, 1<<20) {
 		t.Fatal("small conv geometry must fit")
@@ -143,13 +186,15 @@ func TestAccumFitsU8(t *testing.T) {
 	if AccumFitsU8(k+1, 127, 0) {
 		t.Fatal("bound must reject k just past the limit")
 	}
-	if AccumFitsU8(1000, 127, 0) && !AccumFits(1000, 127, 255, 0) {
-		t.Fatal("AccumFitsU8 must imply AccumFits at xmax=255")
+	// At the largest admitted k, the uncompensated bias can be as large
+	// as biasMax + 128·k·wmax; the float64 bound must still hold.
+	if !AccumFitsU8(k, 127, 0) || !ExactF64(k, 127, 127, 128*int64(k)*127) {
+		t.Fatal("AccumFitsU8 must imply ExactF64 for the uncompensated bias")
 	}
 }
 
-// TestIm2colU8MatchesIm2col pins the offset identity between the two
-// patch builders for padded and pad-free geometries.
+// TestIm2colU8MatchesIm2col pins Im2colU8 as the offset image of the
+// naive patch builder for padded and pad-free geometries.
 func TestIm2colU8MatchesIm2col(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	type geom struct{ c, h, w, kh, kw, stride, pad int }
@@ -165,12 +210,12 @@ func TestIm2colU8MatchesIm2col(t *testing.T) {
 		kk := g.c * g.kh * g.kw
 		n := outH * outW
 		want := make([]int32, kk*n)
-		Im2col(want, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		refIm2col(want, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
 		got := make([]uint8, kk*n)
 		Im2colU8(got, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
 		for i := range want {
 			if int32(got[i])-128 != want[i] {
-				t.Fatalf("%+v: element %d: u8=%d, int32=%d", g, i, got[i], want[i])
+				t.Fatalf("%+v: element %d: u8=%d, ref=%d", g, i, got[i], want[i])
 			}
 		}
 	}
@@ -218,8 +263,8 @@ func TestPackBPadding(t *testing.T) {
 	}
 }
 
-// refIm2col is the pre-optimization per-element implementation, kept as
-// the regression reference for the border-only zero fill.
+// refIm2col is the naive per-element patch builder, the reference for
+// Im2colU8's border-only fill: padding taps are zero.
 func refIm2col(dst, src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) {
 	n := outH * outW
 	for ci := 0; ci < c; ci++ {
@@ -245,10 +290,10 @@ func refIm2col(dst, src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) {
 	}
 }
 
-// TestIm2colBorderOnlyFill pins Im2col against the naive reference for
-// both pad cases (and strided variants), and verifies stale scratch
-// content on the border is actually overwritten — the property the
-// border-only memclr could silently break.
+// TestIm2colBorderOnlyFill pins Im2colU8 against the naive reference
+// for both pad cases (and strided variants) on a buffer full of stale
+// scratch bytes, verifying the border is actually overwritten — the
+// property the border-only 128 fill could silently break.
 func TestIm2colBorderOnlyFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	type geom struct{ c, h, w, kh, kw, stride, pad int }
@@ -267,20 +312,20 @@ func TestIm2colBorderOnlyFill(t *testing.T) {
 		n := outH * outW
 		want := make([]int32, kk*n)
 		refIm2col(want, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
-		got := make([]int32, kk*n)
+		got := make([]uint8, kk*n)
 		for i := range got {
-			got[i] = -999 // stale arena content must not survive
+			got[i] = 0xAB // stale arena content must not survive
 		}
-		Im2col(got, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		Im2colU8(got, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%+v: element %d: got %d, want %d", g, i, got[i], want[i])
+			if int32(got[i])-128 != want[i] {
+				t.Fatalf("%+v: element %d: got %d, want %d", g, i, int32(got[i])-128, want[i])
 			}
 		}
 	}
 }
 
-// TestRowSpan pins the border arithmetic shared by Im2col and Im2colU8.
+// TestRowSpan pins Im2colU8's border arithmetic.
 func TestRowSpan(t *testing.T) {
 	cases := []struct {
 		w, kx, stride, pad, outW int
@@ -292,6 +337,9 @@ func TestRowSpan(t *testing.T) {
 		{7, 0, 2, 1, 4, 1, 4}, // strided left border
 		{7, 2, 2, 1, 4, 0, 3}, // strided right border
 		{4, 0, 1, 3, 4, 3, 4}, // pad wider than data
+		{2, 4, 2, 2, 1, 0, 0}, // strided tap right of the data
+		{3, 4, 2, 1, 1, 0, 0}, // and with less padding than the tap
+		{1, 0, 1, 2, 1, 1, 1}, // padding wider than the whole output
 	}
 	for _, c := range cases {
 		lo, hi := rowSpan(c.w, c.kx, c.stride, c.pad, c.outW)

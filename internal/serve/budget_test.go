@@ -451,6 +451,29 @@ func TestNegativeDeadlineRejected(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineClampedNotWrapped is the deadline_ms overflow
+// regression test: milliseconds far past MaxDeadline must clamp to it.
+// Converting first wraps the Duration — 9300000000000 ms turns negative
+// (an immediate 504) and 18446744073710 ms into 448µs, well inside one
+// batch window — so both must be answered 200 by a server whose batch
+// window is far above a millisecond.
+func TestHugeDeadlineClampedNotWrapped(t *testing.T) {
+	_, images := testPlan(t)
+	s := newTestServer(t, func(c *Config) { c.MaxDelay = 20 * time.Millisecond })
+	s.startScheduler()
+	for _, ms := range []int64{9300000000000, 18446744073710} {
+		raw, err := json.Marshal(classifyRequest{Image: images[0], DeadlineMs: ms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(raw)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("deadline_ms=%d got %d (%s), want 200", ms, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+}
+
 // TestQueueWaitHistogramCoversDeadlines is the histogram-range
 // regression test: a near-deadline wait (far past the old 8*MaxDelay
 // bound) must land in a finite bucket, not the overflow tail.

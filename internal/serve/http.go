@@ -142,7 +142,13 @@ func (s *Server) handleClassify(w http.ResponseWriter, req *http.Request) {
 	}
 	deadline := s.cfg.DefaultDeadline
 	if in.DeadlineMs > 0 {
-		deadline = time.Duration(in.DeadlineMs) * time.Millisecond
+		// Clamp in milliseconds before converting: the Duration product
+		// wraps for deadlines past ~292 years, and a wrapped one can read
+		// as negative (an instant 504) or as a few microseconds.
+		deadline = s.cfg.MaxDeadline
+		if in.DeadlineMs < s.cfg.MaxDeadline.Milliseconds() {
+			deadline = time.Duration(in.DeadlineMs) * time.Millisecond
+		}
 	}
 	if deadline > s.cfg.MaxDeadline {
 		deadline = s.cfg.MaxDeadline
