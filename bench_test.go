@@ -38,7 +38,22 @@ func TestMain(m *testing.M) {
 		LMTrainTokens: 5000, LMValid: 1000,
 		LMEpochs: 1,
 	})
-	os.Exit(m.Run())
+	// Plan builds tune tiles against a temporary cache, so the tests and
+	// benchmarks neither write under the home directory nor read picks
+	// an earlier run left there.
+	dir, err := os.MkdirTemp("", "trq-autotune-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	code := 1
+	if err := os.Setenv("TRQ_AUTOTUNE_CACHE", filepath.Join(dir, "autotune.json")); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 // --- One benchmark per paper artifact ---

@@ -129,7 +129,7 @@ func TestExpressLaneMatchesGeneralPath(t *testing.T) {
 
 // TestClassifySteadyStateAllocs pins the zero-allocation contract: after
 // arena warmup, Classify must not touch the heap — for the express MLP
-// lane and for the conv (im2col+GEMM) pipeline alike.
+// lane and for the packed conv pipeline alike.
 func TestClassifySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool fakes misses under the race detector")
@@ -151,23 +151,33 @@ func TestClassifySteadyStateAllocs(t *testing.T) {
 		t.Errorf("express Classify allocates %.2f objects per call, want 0", n)
 	}
 
+	// The conv models size the padded-input and panel buffers from
+	// different geometries: plain 3×3 stacks (VGG), 1×1 stride-2
+	// projections (ResNet) and depthwise groups (MobileNet). A buffer
+	// sized short of any step panics the run instead of allocating.
 	g := models.CNNGeom{InC: 3, InH: 8, InW: 8, Classes: 4}
-	cm := models.NewVGGStyle(g, 41)
-	qsim.FoldBatchNorm(cm)
-	ds := datasets.ImageClasses(16, g.Classes, g.InC, g.InH, g.InW, 42)
-	cplan, err := Build(cm, Options{Calibration: ds.Images, IntraWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cplan.Classify(ds.Images[0]); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
+	for _, cm := range []*models.ImageModel{
+		models.NewVGGStyle(g, 41), models.NewResNetStyle(g, 41), models.NewMobileNetStyle(g, 41),
+	} {
+		qsim.FoldBatchNorm(cm)
+		ds := datasets.ImageClasses(16, g.Classes, g.InC, g.InH, g.InW, 42)
+		cplan, err := Build(cm, Options{Calibration: ds.Images, IntraWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if convs, packed := countKind(cplan.steps, kindConv); packed != convs {
+			t.Fatalf("%s: %d of %d convs packed, want all", cm.Name, packed, convs)
+		}
 		if _, err := cplan.Classify(ds.Images[0]); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("conv Classify allocates %.2f objects per call, want 0", n)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := cplan.Classify(ds.Images[0]); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s Classify allocates %.2f objects per call, want 0", cm.Name, n)
+		}
 	}
 }
 

@@ -25,9 +25,9 @@ type activation struct {
 
 // scratch is the per-worker arena a Plan's inference loop runs out of:
 // a free list of equally sized activation buffers plus the kernels'
-// patch, panel and conversion buffers. One scratch serves one in-flight
-// Infer; Plan recycles them through a sync.Pool so steady-state
-// inference performs no heap allocations after warmup.
+// padded-input, panel and conversion buffers. One scratch serves one
+// in-flight Infer; Plan recycles them through a sync.Pool so
+// steady-state inference performs no heap allocations after warmup.
 //
 // Buffer discipline inside exec: in-place steps (ReLU, flatten) return
 // their input buffer; every other step gets an output buffer from the
@@ -41,8 +41,8 @@ type scratch struct {
 	free    [][]int32 // available activation buffers, each cap bufCap
 	all     [][]int32 // every arena-owned buffer, the reset source
 	bufCap  int
-	colU8   []uint8   // offset-u8 patch matrix (packed int8 GEMM path)
-	bpack   []uint8   // PackB panel buffer (packed int8 GEMM path)
+	padded  []uint8   // padded offset-u8 conv input (packed int8 GEMM path)
+	bpack   []uint8   // packed B panel buffer (packed int8 GEMM path)
 	xf, yf  []float64 // ping-pong float64 code buffers (GemvF64 path)
 	bx, by  []uint8   // ping-pong offset-u8 matrices (packed linear lane)
 	lin32   []int32   // code matrix of the current packed-linear layer
@@ -56,7 +56,7 @@ func (p *Plan) newScratch() *scratch {
 	p.pm.scratchNew.Inc()
 	s := &scratch{free: make([][]int32, p.bufCount), bufCap: p.maxAct,
 		xf: make([]float64, p.maxLin), yf: make([]float64, p.maxLin),
-		colU8: make([]uint8, p.maxColU8), bpack: make([]uint8, p.maxPackB),
+		padded: make([]uint8, p.maxPadded), bpack: make([]uint8, p.maxPackB),
 		bx: make([]uint8, p.lin8Buf), by: make([]uint8, p.lin8Buf),
 		lin32: make([]int32, p.lin8Buf), logits: make([]float32, p.classes)}
 	for i := range s.free {
@@ -509,27 +509,24 @@ func requant(acc int64, m float64, lo, hi int32) int32 {
 // race tests can force the parallel path on small models.
 var intraMinWork = 1 << 21
 
-// gemm8 runs the packed int8 GEMM with the fused requant over the k×n
-// offset-u8 matrix u8: PackBBlocked lays the panels out with the
-// step's autotuned (NR, KC) traversal, then, when the layer is large
-// enough to amortize the fan-out, the 4-row output panels split across
-// workers in whole MR-row blocks. Panels map to disjoint dst rows, so
-// workers need no synchronization beyond the WaitGroup (owned by the
-// scratch, so the fan-out itself is allocation-free). The
+// gemm8 runs the packed int8 GEMM with the fused requant against the
+// packed B panels pb (k×n, PackConvB or PackB output): when the layer is
+// large enough to amortize the fan-out, the 4-row output panels split
+// across workers in whole MR-row blocks. Panels map to disjoint dst
+// rows, so workers need no synchronization beyond the WaitGroup (owned
+// by the scratch, so the fan-out itself is allocation-free). The
 // single-threaded path goes through Gemm8Tuned, so the executed loop is
 // exactly the shape the autotuner timed.
-func (p *Plan) gemm8(s *scratch, dst []int32, pa *kernels.PackedA, u8 []uint8,
+func (p *Plan) gemm8(s *scratch, dst []int32, pa *kernels.PackedA, pb []uint8,
 	n int, t kernels.Tile, mult float64, lo, hi int32) {
-	pb := s.bpack[:kernels.PackBSize(pa.K, n)]
 	workers := s.workers
 	if workers > pa.MP {
 		workers = pa.MP // at least one 4-row panel per worker
 	}
 	if workers <= 1 || pa.M*n*pa.K < intraMinWork {
-		kernels.Gemm8Tuned(dst, pa, u8, pb, n, t, mult, lo, hi)
+		kernels.Gemm8Tuned(dst, pa, pb, n, t, mult, lo, hi)
 		return
 	}
-	kernels.PackBBlocked(pb, u8, pa.K, n, t.NR, t.KC)
 	mrp := kernels.RowPanels(t.MR, pa.MP)
 	chunk := (pa.MP + workers - 1) / workers
 	chunk = (chunk + mrp - 1) / mrp * mrp // whole MR blocks per worker
@@ -592,11 +589,9 @@ func gemvF64Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []float
 	kernels.GemvF64(dst, a, x, bias, r0, r1, k, mult, lo, hi)
 }
 
-// execConv lowers the convolution to an offset-u8 im2col + per-group
-// packed GEMM when the build-time bound admitted it (st.pack8);
-// otherwise it runs the direct 7-deep loop with 64-bit accumulation.
-// 1×1 stride-1 unpadded convolutions skip im2col entirely — the input
-// layout already is the patch matrix.
+// execConv lowers the convolution to per-group packed GEMMs when the
+// build-time bound admitted it (st.pack8); otherwise it runs the direct
+// 7-deep loop with 64-bit accumulation.
 func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) {
 	g := st.geom
 	if in.c != g.inC || in.h != g.inH || in.w != g.inW {
@@ -605,32 +600,28 @@ func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) 
 	}
 	out := activation{data: s.get(g.outC * g.outH * g.outW),
 		c: g.outC, h: g.outH, w: g.outW}
-	cPerG := g.inC / g.groups
-	oPerG := g.outC / g.groups
-	kk := cPerG * g.kh * g.kw
-	n := g.outH * g.outW
 	if st.pack8 == nil {
 		p.pm.dispatchDirect.Inc()
 		execConvDirect(st, in, out)
 		s.put(in.data)
 		return out, nil
 	}
-	// Packed int8 SIMD path: the patch matrix is built directly in the
-	// offset-u8 domain, laid out into microkernel panels, and the
-	// requantization runs fused inside the kernel's register tile —
-	// out.data receives final codes with no int32 round-trip pass.
-	pointwise := g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
+	// Packed int8 SIMD path: the input is copied once into a padded
+	// offset-u8 buffer, each group's B panels are gathered straight from
+	// it through the step's offset tables, and the requantization runs
+	// fused inside the kernel's register tile — out.data receives final
+	// codes with no int32 round-trip pass.
+	plane := (g.inH + 2*g.pad) * (g.inW + 2*g.pad)
+	cPerG := g.inC / g.groups
+	oPerG := g.outC / g.groups
+	n := g.outH * g.outW
+	padded := s.padded[:g.inC*plane]
+	kernels.PadU8(padded, in.data, g.inC, g.inH, g.inW, g.pad)
+	pb := s.bpack[:kernels.PackBSize(len(g.tapOff), n)]
 	for grp := 0; grp < g.groups; grp++ {
-		b := in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW]
-		u8 := s.colU8[:kk*n]
-		if pointwise {
-			kernels.OffsetU8(u8, b)
-		} else {
-			kernels.Im2colU8(u8, b, cPerG, g.inH, g.inW, g.kh, g.kw,
-				g.stride, g.pad, g.outH, g.outW)
-		}
+		kernels.PackConvB(pb, padded[grp*cPerG*plane:], g.colBase, g.tapOff)
 		p.pm.dispatchGemm8.Inc()
-		p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], u8,
+		p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], pb,
 			n, st.tile, st.mult, st.lo, st.hi)
 	}
 	s.put(in.data)

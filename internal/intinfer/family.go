@@ -79,7 +79,7 @@ func (f *Family) share() {
 	top := f.plans[len(f.plans)-1]
 	for _, p := range f.plans[:len(f.plans)-1] {
 		top.maxAct = max(top.maxAct, p.maxAct)
-		top.maxColU8 = max(top.maxColU8, p.maxColU8)
+		top.maxPadded = max(top.maxPadded, p.maxPadded)
 		top.maxPackB = max(top.maxPackB, p.maxPackB)
 		top.maxLin = max(top.maxLin, p.maxLin)
 		top.lin8Buf = max(top.lin8Buf, p.lin8Buf)
@@ -88,7 +88,7 @@ func (f *Family) share() {
 	pool := &sync.Pool{New: func() any { return top.newScratch() }}
 	for _, p := range f.plans {
 		p.maxAct = top.maxAct
-		p.maxColU8 = top.maxColU8
+		p.maxPadded = top.maxPadded
 		p.maxPackB = top.maxPackB
 		p.maxLin = top.maxLin
 		p.lin8Buf = top.lin8Buf
@@ -115,6 +115,9 @@ func shareSteps(dst, src []step) {
 		}
 		if d.kind != kindConv && d.kind != kindLinear {
 			continue
+		}
+		if d.kind == kindConv {
+			d.geom = s.geom // geometry and its gather tables are budget-free
 		}
 		if slices.Equal(d.weights, s.weights) {
 			d.weights = s.weights

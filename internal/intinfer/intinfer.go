@@ -137,6 +137,10 @@ type step struct {
 
 type convGeom struct {
 	inC, inH, inW, outC, kh, kw, stride, pad, groups, outH, outW int
+	// colBase and tapOff are the packed lane's gather tables into the
+	// padded input (kernels.ConvOffsets): one entry per output pixel and
+	// one per tap of a group, shared by every group.
+	colBase, tapOff []int
 }
 
 // Plan is a compiled integer inference program. A Plan is immutable
@@ -153,8 +157,8 @@ type Plan struct {
 
 	// Arena geometry, fixed by finalize at build time.
 	maxAct       int  // largest activation (elements) any step produces
-	maxColU8     int  // largest offset-u8 patch matrix (bytes, packed path)
-	maxPackB     int  // largest PackB panel buffer (bytes, packed path)
+	maxPadded    int  // largest padded offset-u8 conv input (bytes, packed path)
+	maxPackB     int  // largest packed B panel buffer (bytes, packed path)
 	maxLin       int  // widest buffer a float64-path linear step touches
 	lin8Buf      int  // offset-u8/code matrix capacity of the packed linear lane
 	express      bool // whole plan is flatten + float64-path linears
@@ -341,7 +345,7 @@ func fuseActivations(steps []step) []step {
 }
 
 // finalize sizes the scratch arena: it simulates the step chain's shapes
-// to find the largest activation and im2col buffer, counts how many
+// to find the largest activation and packed-conv buffers, counts how many
 // activation buffers one inference holds concurrently (residual branches
 // pin extra buffers), and arms the pool.
 func (p *Plan) finalize(opts Options) {
@@ -512,7 +516,7 @@ func (p *Plan) noteAct(n int) {
 }
 
 // sizeChain mirrors the shape propagation of exec, recording every
-// intermediate activation size and im2col footprint. It returns the
+// intermediate activation size and packed-conv footprint. It returns the
 // chain's output shape.
 func (p *Plan) sizeChain(steps []step, c, h, w int) (int, int, int) {
 	for i := range steps {
@@ -523,15 +527,9 @@ func (p *Plan) sizeChain(steps []step, c, h, w int) (int, int, int) {
 			c, h, w = g.outC, g.outH, g.outW
 			p.noteAct(c * h * w)
 			if st.pack8 != nil {
-				// Packed path: offset-u8 patch matrix + PackB panels.
-				kk := (g.inC / g.groups) * g.kh * g.kw
-				n := g.outH * g.outW
-				if u8 := kk * n; u8 > p.maxColU8 {
-					p.maxColU8 = u8
-				}
-				if pb := kernels.PackBSize(kk, n); pb > p.maxPackB {
-					p.maxPackB = pb
-				}
+				// Packed path: padded offset-u8 input + one group's panels.
+				p.maxPadded = max(p.maxPadded, g.inC*(g.inH+2*g.pad)*(g.inW+2*g.pad))
+				p.maxPackB = max(p.maxPackB, kernels.PackBSize(len(g.tapOff), len(g.colBase)))
 			}
 		case kindLinear:
 			c, h, w = st.rows, 1, 1
@@ -766,7 +764,10 @@ func calibrate(m *models.ImageModel, images [][]float32) (map[string]float32, fl
 	var restore []func()
 	record := func(name string) nn.MatMulHook {
 		return func(which string, data *tensor.Tensor) *tensor.Tensor {
-			if a := data.MaxAbs(); a > maxabs[name] {
+			// Record even an all-zero input: its layer still needs a
+			// scale (the zero max-abs maps to 1 below).
+			a := data.MaxAbs()
+			if cur, ok := maxabs[name]; !ok || a > cur {
 				maxabs[name] = a
 			}
 			return data
@@ -822,10 +823,12 @@ func (c *compiler) compileConv(v *nn.Conv2D, sx, sy float32) (step, error) {
 	g := v.Geom
 	kk := (g.InC / g.Groups) * g.KH * g.KW
 	codes, sw := c.weights(v.Name(), v.Weight.W.Data, g.OutC, kk)
-	st := step{kind: kindConv, name: v.Name(),
-		geom: &convGeom{inC: g.InC, inH: g.InH, inW: g.InW, outC: g.OutC,
-			kh: g.KH, kw: g.KW, stride: g.Stride, pad: g.Pad,
-			groups: g.Groups, outH: g.OutH, outW: g.OutW},
+	geom := &convGeom{inC: g.InC, inH: g.InH, inW: g.InW, outC: g.OutC,
+		kh: g.KH, kw: g.KW, stride: g.Stride, pad: g.Pad,
+		groups: g.Groups, outH: g.OutH, outW: g.OutW}
+	geom.colBase, geom.tapOff = kernels.ConvOffsets(g.InC/g.Groups, g.InH, g.InW,
+		g.KH, g.KW, g.Stride, g.Pad, g.OutH, g.OutW)
+	st := step{kind: kindConv, name: v.Name(), geom: geom,
 		weights: codes, inScale: sx, wScale: sw, outScale: sy,
 		mult: float64(sw) * float64(sx) / float64(sy), lo: -127, hi: 127}
 	st.bias = make([]int32, g.OutC)

@@ -29,6 +29,24 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestBuildAcceptsAllZeroCalibrationInput: a layer whose calibration
+// input is zero everywhere (here: all-black calibration images) still
+// gets a scale, instead of failing the build for want of one.
+func TestBuildAcceptsAllZeroCalibrationInput(t *testing.T) {
+	m, _, test := trainedMLP(t)
+	black := make([][]float32, 4)
+	for i := range black {
+		black[i] = make([]float32, len(test.Images[0]))
+	}
+	plan, err := Build(m, Options{Calibration: black})
+	if err != nil {
+		t.Fatalf("all-zero calibration rejected: %v", err)
+	}
+	if _, err := plan.Classify(test.Images[0]); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBuildRejectsSEModels(t *testing.T) {
 	g := models.CNNGeom{InC: 3, InH: 8, InW: 8, Classes: 4}
 	m := models.NewEffNetStyle(g, 74)

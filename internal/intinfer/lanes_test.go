@@ -98,7 +98,8 @@ func (g *laneGen) divisor(n int) int {
 }
 
 // convModel draws a small CNN: two to four blocks, each a plain conv
-// (grouped, strided, padded, any kernel from 1×1 to 5×5, odd and even),
+// (grouped, stride and padding up to 3 — padding as wide as the kernel
+// or wider included — any kernel from 1×1 to 5×5, odd and even),
 // a depthwise conv, or a residual block with an identity or a projection
 // shortcut, then a GAP or flatten head into one or two linears.
 func (g *laneGen) convModel() *models.ImageModel {
@@ -108,17 +109,17 @@ func (g *laneGen) convModel() *models.ImageModel {
 	var layers []nn.Layer
 	for blocks := 2 + rng.Intn(3); blocks > 0; blocks-- {
 		switch block := rng.Intn(4); block {
-		case 0: // plain, possibly grouped
-			pad := rng.Intn(3)
+		case 0: // plain, possibly grouped; padding may reach the kernel
+			pad := rng.Intn(4)
 			kh, kw := 1+rng.Intn(min(5, h+2*pad)), 1+rng.Intn(min(5, w+2*pad))
 			groups := g.divisor(c)
 			outC := groups * (1 + rng.Intn(max(1, 8/groups)))
-			cv := g.conv(c, h, w, outC, kh, kw, 1+rng.Intn(2), pad, groups)
+			cv := g.conv(c, h, w, outC, kh, kw, 1+rng.Intn(3), pad, groups)
 			layers = append(layers, cv)
 			c, h, w = outC, cv.Geom.OutH, cv.Geom.OutW
 		case 1: // depthwise
 			k := 1 + 2*rng.Intn(2)
-			cv := g.conv(c, h, w, c, k, k, 1+rng.Intn(2), k/2, c)
+			cv := g.conv(c, h, w, c, k, k, 1+rng.Intn(3), k/2, c)
 			layers = append(layers, cv)
 			h, w = cv.Geom.OutH, cv.Geom.OutW
 		default: // residual: 2 keeps the shape for an identity shortcut
@@ -196,7 +197,7 @@ func (g *laneGen) laneOptions(calib [][]float32) Options {
 // randomTiles gives every packed step a random blocking geometry:
 // tiles never change results, so any of them must still match direct.
 func randomTiles(rng *rand.Rand, steps []step) {
-	tiles := []kernels.Tile{{}, {MR: 4}, {MR: 8, NR: 16, KC: 2}, {MR: 8, NR: 64, KC: 128}}
+	tiles := []kernels.Tile{{}, {MR: 4}, {MR: 8}, {MR: 16}}
 	for i := range steps {
 		st := &steps[i]
 		if st.pack8 != nil || st.pack8lin != nil {

@@ -203,7 +203,9 @@ func (p *Plan) linear8Chunk(images [][]float32, preds []int, s *scratch) error {
 		}
 		p.pm.dispatchLinear8.Inc()
 		y := s.lin32[:st.rows*b]
-		p.gemm8(s, y, st.pack8lin, cur[:st.cols*b], b, st.tile, st.mult, st.lo, st.hi)
+		pb := s.bpack[:kernels.PackBSize(st.cols, b)]
+		kernels.PackB(pb, cur[:st.cols*b], st.cols, b)
+		p.gemm8(s, y, st.pack8lin, pb, b, st.tile, st.mult, st.lo, st.hi)
 		// Re-offset the fresh codes for the next layer's B operand. The
 		// final layer's pass is cheap (classes × b bytes) and keeps the
 		// loop uniform.

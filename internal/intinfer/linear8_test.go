@@ -87,10 +87,7 @@ func TestLinear8TileInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiles := []kernels.Tile{
-		{}, {MR: 4}, {MR: 8}, {MR: 16},
-		{MR: 8, NR: 16, KC: 2}, {MR: 8, NR: 64, KC: 128}, {MR: 32, NR: 256, KC: 512},
-	}
+	tiles := []kernels.Tile{{}, {MR: 4}, {MR: 8}, {MR: 16}, {MR: 32}}
 	for _, tile := range tiles {
 		for i := range plan.steps {
 			plan.steps[i].tile = tile

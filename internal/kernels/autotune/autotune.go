@@ -1,6 +1,6 @@
 // Package autotune turns the packed-GEMM tile geometry into a measured
 // decision. At plan build, Pick microbenchmarks a small candidate set
-// of (MR, NR, KC) tiles on a synthetic problem of the layer's exact
+// of MR row blocks on a synthetic problem of the layer's exact
 // geometry and returns the fastest — any tile is bit-identical (see
 // kernels.Tile), so timing is the only axis. The winner is memoized in
 // process and persisted to a small JSON cache on disk keyed by
@@ -46,12 +46,10 @@ type Geometry struct {
 // behaviour. Candidates that normalize to the same legal tile for a
 // given geometry are measured once.
 var candidates = []kernels.Tile{
-	{}, // unblocked: whole-matrix traversals
+	{}, // unblocked: one pass over every row panel
 	{MR: 8},
 	{MR: 16},
-	{MR: 8, NR: 64, KC: 128},
-	{MR: 16, NR: 128, KC: 256},
-	{MR: 32, NR: 256, KC: 512},
+	{MR: 32},
 }
 
 // measureReps timed runs per candidate (after one warmup); the minimum
@@ -178,7 +176,9 @@ func measure(g Geometry) kernels.Tile {
 	for i := range u8 {
 		u8[i] = uint8(1 + i*89%255)
 	}
+	// Every tile consumes the same panels, so they are packed once.
 	pb := make([]uint8, kernels.PackBSize(g.K, g.N))
+	kernels.PackB(pb, u8, g.K, g.N)
 	dst := make([]int32, g.M*g.N)
 	const mult = 1.0 / 512
 
@@ -186,16 +186,16 @@ func measure(g Geometry) kernels.Tile {
 	bestNs := int64(-1)
 	seen := make(map[kernels.Tile]bool, len(candidates))
 	for _, cand := range candidates {
-		t := cand.Normalize(g.M, g.N, g.K)
+		t := cand.Normalize(g.M)
 		if seen[t] {
 			continue
 		}
 		seen[t] = true
-		kernels.Gemm8Tuned(dst, pa, u8, pb, g.N, t, mult, -127, 127) // warmup
+		kernels.Gemm8Tuned(dst, pa, pb, g.N, t, mult, -127, 127) // warmup
 		ns := int64(-1)
 		for rep := 0; rep < measureReps; rep++ {
 			t0 := time.Now()
-			kernels.Gemm8Tuned(dst, pa, u8, pb, g.N, t, mult, -127, 127)
+			kernels.Gemm8Tuned(dst, pa, pb, g.N, t, mult, -127, 127)
 			if d := time.Since(t0).Nanoseconds(); ns < 0 || d < ns {
 				ns = d
 			}

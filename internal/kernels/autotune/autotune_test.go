@@ -111,7 +111,7 @@ func TestPickAllPersistsEveryMiss(t *testing.T) {
 
 func TestStaleVersionRemeasured(t *testing.T) {
 	path := withCache(t)
-	bogus := kernels.Tile{MR: 999, NR: 999, KC: 999}
+	bogus := kernels.Tile{MR: 999}
 	stale := cacheData{Version: kernels.TuneVersion + 1,
 		Tiles: map[string]kernels.Tile{key(Geometry{M: 8, K: 16, N: 4}): bogus}}
 	data, _ := json.Marshal(stale)

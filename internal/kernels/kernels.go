@@ -12,23 +12,6 @@
 // at zero.
 package kernels
 
-// rowSpan returns the half-open range [lo, hi) of output columns whose
-// input column ox·stride + kx − pad lands inside [0, w) — the in-bounds
-// span of one im2col row, clamped to [0, outW]. For pad == 0 the span
-// is the whole row; a tap that lands in no input column (the padding is
-// wider than the data, or the tap lies right of it) has an empty span.
-func rowSpan(w, kx, stride, pad, outW int) (lo, hi int) {
-	if d := pad - kx; d > 0 {
-		lo = min((d+stride-1)/stride, outW)
-	}
-	// Division truncates toward zero, so a negative numerator must not
-	// reach it: (w−1+pad−kx)/stride would round −1/2 up to 0.
-	if d := w - 1 + pad - kx; d >= 0 {
-		hi = min(d/stride+1, outW)
-	}
-	return lo, max(lo, hi)
-}
-
 // ExactF64 reports whether a dot product of length k with |w| ≤ wmax,
 // |x| ≤ xmax and |bias| ≤ biasMax stays exactly representable in float64
 // arithmetic: every partial sum is an integer below 2^53, so float64

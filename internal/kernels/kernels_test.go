@@ -98,16 +98,17 @@ func TestGemmNilBiasAndOddRows(t *testing.T) {
 }
 
 // packedConv runs one convolution group through the executor's packed
-// lowering — Im2colU8 patches, PackA/PackB panels, Gemm8Rows with the
+// lowering — PadU8 input, PackConvB and PackA panels, Gemm8Rows with the
 // requant fused — and returns the output codes.
 func packedConv(src, w, bias []int32, c, h, wid, outC, kh, kw, stride, pad, outH, outW int,
 	mult float64, lo, hi int32) []int32 {
 	kk := c * kh * kw
 	n := outH * outW
-	u8 := make([]uint8, kk*n)
-	Im2colU8(u8, src, c, h, wid, kh, kw, stride, pad, outH, outW)
+	padded := make([]uint8, c*(h+2*pad)*(wid+2*pad))
+	PadU8(padded, src, c, h, wid, pad)
+	colBase, tapOff := ConvOffsets(c, h, wid, kh, kw, stride, pad, outH, outW)
 	pb := make([]uint8, PackBSize(kk, n))
-	PackB(pb, u8, kk, n)
+	PackConvB(pb, padded, colBase, tapOff)
 	pa := PackA(w, bias, outC, kk)
 	out := make([]int32, outC*n)
 	Gemm8Rows(out, pa, pb, n, 0, pa.MP, mult, lo, hi)

@@ -3,10 +3,11 @@ package kernels
 import "math"
 
 // Packed int8 GEMM path. Each weight matrix is repacked once at
-// plan-build time into microkernel-shaped panels, the patch matrix is
-// carried as offset-u8 bytes, and the requantization epilogue is fused
-// into the 4×16 register tile, so per-image work is one pass over
-// int8-range data with no int32 round-trip buffer.
+// plan-build time into microkernel-shaped panels, the activations are
+// gathered straight into panels as offset-u8 bytes, and the
+// requantization epilogue is fused into the 4×16 register tile, so
+// per-image work is one pass over int8-range data with no int32
+// round-trip buffer.
 //
 // Layouts (MR = 4 output rows, NR = 16 output columns, KU = 2 taps):
 //
@@ -17,7 +18,8 @@ import "math"
 //	int16 storage is what VPMADDWD multiplies directly. Rows past m
 //	and taps past k pad with zero.
 //
-//	B (activations, packed per image by PackB): column panels of 16.
+//	B (activations, packed per image: a convolution's by PackConvB from
+//	its padded input, a batched linear's by PackB): column panels of 16.
 //	Panel c holds columns 16c..16c+15 as KQ groups of 32 bytes
 //	[c0k0 c0k1 c1k0 c1k1 … c15k0 c15k1] — one VPMOVZXBW pair-load per
 //	8 columns. Entries are offset-u8 codes (x+128 ∈ [1,255], the
@@ -105,130 +107,113 @@ func AccumFitsU8(k int, wmax, biasMax int64) bool {
 // PackBSize returns the byte length PackB needs for a k×n matrix.
 func PackBSize(k, n int) int { return ((k + 1) / 2) * ((n + 15) / 16) * 32 }
 
-// PackB lays a k×n row-major offset-u8 patch matrix out into column
-// panels (see the layout comment above). dst must have PackBSize(k, n)
-// bytes; pad columns and a pad tap for odd k are written as 128 so
-// they contribute exactly zero against real or zero-padded weights.
+// PackB lays a k×n row-major offset-u8 matrix out into column panels
+// (see the layout comment above) — the batched linear lane's operand.
+// dst must have PackBSize(k, n) bytes; pad columns and a pad tap for
+// odd k are written as 128 so they contribute exactly zero against real
+// or zero-padded weights.
 func PackB(dst, src []uint8, k, n int) {
-	PackBBlocked(dst, src, k, n, 0, 0)
-}
-
-// PackBBlocked is PackB with a blocked source traversal: panels are
-// visited in column blocks of nr columns, and within a block the tap
-// pairs are visited in stripes of kc source rows, so the window of src
-// one pass touches is bounded by roughly kc×n bytes instead of the
-// whole matrix. nr must be a multiple of 16 and kc even; 0 for either
-// means unblocked (the plain PackB order). The destination bytes are
-// identical for every (nr, kc) — blocking only reorders the writes —
-// which is what lets the autotuner treat them as pure locality knobs.
-func PackBBlocked(dst, src []uint8, k, n, nr, kc int) {
 	kq := (k + 1) / 2
-	np := (n + 15) / 16
-	nrp := np
-	if p := nr / 16; nr > 0 && p < np {
-		nrp = p
-		if nrp < 1 {
-			nrp = 1
-		}
-	}
-	kcq := kq
-	if q := kc / 2; kc > 0 && q < kq {
-		kcq = q
-		if kcq < 1 {
-			kcq = 1
-		}
-	}
-	for cb := 0; cb < np; cb += nrp {
-		ce := cb + nrp
-		if ce > np {
-			ce = np
-		}
-		for qb := 0; qb < kq; qb += kcq {
-			qe := qb + kcq
-			if qe > kq {
-				qe = kq
+	for cp := 0; cp*16 < n; cp++ {
+		j0 := cp * 16
+		cols := min(n-j0, 16)
+		out := dst[cp*kq*32:][:kq*32]
+		for q := 0; q < kq; q++ {
+			o := out[q*32:][:32]
+			r0 := src[2*q*n+j0:][:cols]
+			if 2*q+1 < k {
+				r1 := src[(2*q+1)*n+j0:][:cols]
+				for j, v := range r0 {
+					o[2*j] = v
+					o[2*j+1] = r1[j]
+				}
+			} else {
+				for j, v := range r0 {
+					o[2*j] = v
+					o[2*j+1] = 128
+				}
 			}
-			for cp := cb; cp < ce; cp++ {
-				packBPanelTaps(dst, src, k, n, cp, qb, qe)
-			}
+			fill128(o[2*cols:])
 		}
 	}
 }
 
-// packBPanelTaps writes tap pairs [q0, q1) of column panel cp — the
-// shared inner loop of the unblocked and blocked PackB traversals.
-func packBPanelTaps(dst, src []uint8, k, n, cp, q0, q1 int) {
-	kq := (k + 1) / 2
-	j0 := cp * 16
-	cols := n - j0
-	if cols > 16 {
-		cols = 16
-	}
-	out := dst[cp*kq*32:]
-	for q := q0; q < q1; q++ {
-		o := out[q*32:][:32]
-		r0 := src[2*q*n+j0:][:cols]
-		if 2*q+1 < k {
-			r1 := src[(2*q+1)*n+j0:][:cols]
-			for j, v := range r0 {
-				o[2*j] = v
-				o[2*j+1] = r1[j]
-			}
-		} else {
-			for j, v := range r0 {
-				o[2*j] = v
-				o[2*j+1] = 128
-			}
-		}
-		for j := cols; j < 16; j++ {
-			o[2*j], o[2*j+1] = 128, 128
-		}
-	}
-}
-
-// Im2colU8 lowers a padded strided convolution input to a patch
-// matrix in the offset-u8 domain: src is a c×h×w channel-major image of
-// codes, dst receives the (c·kh·kw)×(outH·outW) row-major matrix whose
-// column j holds the receptive field of output pixel j as x+128 bytes,
-// with padding taps written as 128 (the offset image of zero), so the
-// GEMM consuming dst needs no boundary logic. Activation codes are
-// clamped to [-127, 127] by every producer, so the offset stays in
-// [1, 255].
-func Im2colU8(dst []uint8, src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) {
-	n := outH * outW
+// PadU8 copies c channel planes of h×w int8-range codes into dst as
+// offset-u8 bytes, each plane framed by pad columns and rows of 128 (the
+// offset image of zero), so dst holds c planes of (h+2·pad)×(w+2·pad)
+// bytes. Only the frame is filled; the interior is written once from
+// src. Activation codes are clamped to [-127, 127] by every producer,
+// so the offset stays in [1, 255].
+func PadU8(dst []uint8, src []int32, c, h, w, pad int) {
+	wp := w + 2*pad
 	for ci := 0; ci < c; ci++ {
-		plane := src[ci*h*w:][:h*w]
+		plane := dst[ci*(h+2*pad)*wp:][:(h+2*pad)*wp]
+		fill128(plane[:pad*wp])
+		for y := 0; y < h; y++ {
+			row := plane[(pad+y)*wp:][:wp]
+			fill128(row[:pad])
+			OffsetU8(row[pad:pad+w], src[(ci*h+y)*w:][:w])
+			fill128(row[pad+w:])
+		}
+		fill128(plane[(pad+h)*wp:])
+	}
+}
+
+// ConvOffsets returns the gather tables PackConvB reads a convolution's
+// patch matrix through, for a c×h×w input padded by PadU8: colBase[j]
+// is the padded-plane offset of output pixel j's top-left tap
+// (oy·stride·Wp + ox·stride) and tapOff[t] that of tap t = (ci, ky, kx)
+// relative to it (ci·Hp·Wp + ky·Wp + kx), so patch element (t, j) is
+// padded[colBase[j]+tapOff[t]]. The tables depend only on geometry.
+func ConvOffsets(c, h, w, kh, kw, stride, pad, outH, outW int) (colBase, tapOff []int) {
+	hp, wp := h+2*pad, w+2*pad
+	colBase = make([]int, 0, outH*outW)
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			colBase = append(colBase, oy*stride*wp+ox*stride)
+		}
+	}
+	tapOff = make([]int, 0, c*kh*kw)
+	for ci := 0; ci < c; ci++ {
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
-				drow := dst[((ci*kh+ky)*kw+kx)*n:][:n]
-				im2colRowU8(drow, plane, h, w, ky, kx, stride, pad, outH, outW)
+				tapOff = append(tapOff, ci*hp*wp+ky*wp+kx)
 			}
 		}
 	}
+	return colBase, tapOff
 }
 
-// im2colRowU8 fills one patch row (fixed channel and kernel tap) with
-// offset-u8 codes, writing 128 only on the padded border (rowSpan):
-// interior spans are gathered with no per-element bounds branch.
-func im2colRowU8(drow []uint8, plane []int32, h, w, ky, kx, stride, pad, outH, outW int) {
-	idx := 0
-	for oy := 0; oy < outH; oy++ {
-		iy := oy*stride + ky - pad
-		if iy < 0 || iy >= h {
-			fill128(drow[idx : idx+outW])
-			idx += outW
-			continue
+// PackConvB gathers a convolution's B panels straight from its padded
+// offset-u8 input (PadU8): patch element (t, j) is
+// padded[colBase[j]+tapOff[t]] (ConvOffsets), written in PackB's panel
+// layout for k = len(tapOff) taps by n = len(colBase) output pixels. The
+// bytes equal PackB over the offset-u8 im2col patch matrix, with no
+// patch matrix in between and no bounds logic: the padding taps read
+// the 128 frame PadU8 wrote. dst must have PackBSize(k, n) bytes.
+func PackConvB(dst, padded []uint8, colBase, tapOff []int) {
+	k, n := len(tapOff), len(colBase)
+	kq := (k + 1) / 2
+	for cp := 0; cp*16 < n; cp++ {
+		cb := colBase[cp*16 : min(cp*16+16, n)]
+		out := dst[cp*kq*32:][:kq*32]
+		for q := 0; q < kq; q++ {
+			o := out[q*32:][:32]
+			t0 := padded[tapOff[2*q]:]
+			if 2*q+1 < k {
+				t1 := padded[tapOff[2*q+1]:]
+				for j, c := range cb {
+					o[2*j] = t0[c]
+					o[2*j+1] = t1[c]
+				}
+			} else {
+				for j, c := range cb {
+					o[2*j] = t0[c]
+					o[2*j+1] = 128
+				}
+			}
+			fill128(o[2*len(cb):])
 		}
-		srow := plane[iy*w:][:w]
-		lo, hi := rowSpan(w, kx, stride, pad, outW)
-		fill128(drow[idx : idx+lo])
-		ix := lo*stride + kx - pad
-		for ox := lo; ox < hi; ox++ {
-			drow[idx+ox] = uint8(srow[ix] + 128) //trlint:checked codes are clamped to [-127,127], so +128 is in [1,255]
-			ix += stride
-		}
-		fill128(drow[idx+hi : idx+outW])
-		idx += outW
 	}
 }
 
@@ -239,8 +224,8 @@ func fill128(s []uint8) {
 }
 
 // OffsetU8 converts a slice of int8-range codes to the offset-u8
-// domain — the no-im2col analogue of Im2colU8 for pointwise
-// convolutions, whose input layout already is the patch matrix.
+// domain: the batched linear lane's re-offset between layers, and
+// PadU8's interior copy.
 func OffsetU8(dst []uint8, src []int32) {
 	for i, v := range src {
 		dst[i] = uint8(v + 128) //trlint:checked codes are clamped to [-127,127], so +128 is in [1,255]
@@ -250,8 +235,8 @@ func OffsetU8(dst []uint8, src []int32) {
 // Gemm8Rows computes output row panels [p0, p1) of the packed GEMM
 // with the requantization fused: dst rows 4·p0 … min(4·p1, m) of the
 // m×n result receive requant(bias ⊕ A·B) directly as int8-range codes,
-// with no intermediate int32 matrix. pb is the PackB output for the
-// k×n patch matrix. Disjoint panel ranges write disjoint dst rows, so
+// with no intermediate int32 matrix. pb holds the k×n B operand's
+// panels (PackConvB or PackB output). Disjoint panel ranges write disjoint dst rows, so
 // the intra-image row partitioning fans panels across goroutines with
 // no synchronization.
 func Gemm8Rows(dst []int32, pa *PackedA, pb []uint8, n, p0, p1 int, mult float64, lo, hi int32) {

@@ -193,35 +193,8 @@ func TestAccumFitsU8(t *testing.T) {
 	}
 }
 
-// TestIm2colU8MatchesIm2col pins Im2colU8 as the offset image of the
-// naive patch builder for padded and pad-free geometries.
-func TestIm2colU8MatchesIm2col(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	type geom struct{ c, h, w, kh, kw, stride, pad int }
-	for _, g := range []geom{
-		{3, 8, 8, 3, 3, 1, 1},
-		{2, 7, 9, 3, 3, 2, 1},
-		{1, 6, 6, 3, 3, 1, 0},
-		{2, 9, 7, 5, 3, 2, 2},
-	} {
-		outH := (g.h+2*g.pad-g.kh)/g.stride + 1
-		outW := (g.w+2*g.pad-g.kw)/g.stride + 1
-		src := randCodes(rng, g.c*g.h*g.w)
-		kk := g.c * g.kh * g.kw
-		n := outH * outW
-		want := make([]int32, kk*n)
-		refIm2col(want, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
-		got := make([]uint8, kk*n)
-		Im2colU8(got, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
-		for i := range want {
-			if int32(got[i])-128 != want[i] {
-				t.Fatalf("%+v: element %d: u8=%d, ref=%d", g, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestOffsetU8 covers the pointwise-conv conversion path.
+// TestOffsetU8 covers the conversion the batched linear lane and
+// PadU8's interior copy run.
 func TestOffsetU8(t *testing.T) {
 	src := []int32{-127, -1, 0, 1, 127}
 	dst := make([]uint8, len(src))
@@ -263,8 +236,8 @@ func TestPackBPadding(t *testing.T) {
 	}
 }
 
-// refIm2col is the naive per-element patch builder, the reference for
-// Im2colU8's border-only fill: padding taps are zero.
+// refIm2col is the naive per-element patch builder, the reference
+// PackConvB's gather is checked against: padding taps are zero.
 func refIm2col(dst, src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) {
 	n := outH * outW
 	for ci := 0; ci < c; ci++ {
@@ -290,10 +263,54 @@ func refIm2col(dst, src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) {
 	}
 }
 
-// TestIm2colBorderOnlyFill pins Im2colU8 against the naive reference
-// for both pad cases (and strided variants) on a buffer full of stale
-// scratch bytes, verifying the border is actually overwritten — the
-// property the border-only 128 fill could silently break.
+// gatherPatch reads the offset-u8 patch matrix PackConvB sees through
+// ConvOffsets' tables over a PadU8 buffer: element (t, j) is
+// padded[colBase[j]+tapOff[t]], laid out k×n like refIm2col's.
+func gatherPatch(padded []uint8, colBase, tapOff []int) []uint8 {
+	n := len(colBase)
+	out := make([]uint8, len(tapOff)*n)
+	for t, off := range tapOff {
+		for j, base := range colBase {
+			out[t*n+j] = padded[base+off]
+		}
+	}
+	return out
+}
+
+// TestIm2colU8MatchesIm2col pins the offset-u8 im2col image the packed
+// lane consumes — the padded input read through the gather tables — to
+// the naive int32 patch matrix, element by element.
+func TestIm2colU8MatchesIm2col(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type geom struct{ c, h, w, kh, kw, stride, pad int }
+	for _, g := range []geom{
+		{3, 8, 8, 3, 3, 1, 1},
+		{2, 7, 9, 3, 3, 2, 1},
+		{1, 6, 6, 3, 3, 1, 0},
+		{2, 9, 7, 5, 3, 2, 2},
+	} {
+		outH := (g.h+2*g.pad-g.kh)/g.stride + 1
+		outW := (g.w+2*g.pad-g.kw)/g.stride + 1
+		src := randCodes(rng, g.c*g.h*g.w)
+		want := make([]int32, g.c*g.kh*g.kw*outH*outW)
+		refIm2col(want, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		padded := make([]uint8, g.c*(g.h+2*g.pad)*(g.w+2*g.pad))
+		PadU8(padded, src, g.c, g.h, g.w, g.pad)
+		colBase, tapOff := ConvOffsets(g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		got := gatherPatch(padded, colBase, tapOff)
+		for i := range want {
+			if int32(got[i])-128 != want[i] {
+				t.Fatalf("%+v: element %d: u8=%d, ref=%d", g, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestIm2colBorderOnlyFill pins PadU8's border-only 128 fill on a
+// buffer full of stale scratch bytes: every frame byte must read 128
+// and every interior byte its code's offset image, so no stale byte
+// survives, and the gathered patch matrix must equal the naive one for
+// both pad cases, strided variants and a 1×1 conv.
 func TestIm2colBorderOnlyFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	type geom struct{ c, h, w, kh, kw, stride, pad int }
@@ -308,15 +325,27 @@ func TestIm2colBorderOnlyFill(t *testing.T) {
 		outH := (g.h+2*g.pad-g.kh)/g.stride + 1
 		outW := (g.w+2*g.pad-g.kw)/g.stride + 1
 		src := randCodes(rng, g.c*g.h*g.w)
-		kk := g.c * g.kh * g.kw
-		n := outH * outW
-		want := make([]int32, kk*n)
-		refIm2col(want, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
-		got := make([]uint8, kk*n)
-		for i := range got {
-			got[i] = 0xAB // stale arena content must not survive
+		hp, wp := g.h+2*g.pad, g.w+2*g.pad
+		padded := stale(g.c * hp * wp)
+		PadU8(padded, src, g.c, g.h, g.w, g.pad)
+		for ci := 0; ci < g.c; ci++ {
+			for y := 0; y < hp; y++ {
+				for x := 0; x < wp; x++ {
+					want := int32(128)
+					iy, ix := y-g.pad, x-g.pad
+					if iy >= 0 && iy < g.h && ix >= 0 && ix < g.w {
+						want += src[(ci*g.h+iy)*g.w+ix]
+					}
+					if got := padded[(ci*hp+y)*wp+x]; int32(got) != want {
+						t.Fatalf("%+v: plane %d (%d,%d): got %d, want %d", g, ci, y, x, got, want)
+					}
+				}
+			}
 		}
-		Im2colU8(got, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		want := make([]int32, g.c*g.kh*g.kw*outH*outW)
+		refIm2col(want, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		colBase, tapOff := ConvOffsets(g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		got := gatherPatch(padded, colBase, tapOff)
 		for i := range want {
 			if int32(got[i])-128 != want[i] {
 				t.Fatalf("%+v: element %d: got %d, want %d", g, i, int32(got[i])-128, want[i])
@@ -325,7 +354,12 @@ func TestIm2colBorderOnlyFill(t *testing.T) {
 	}
 }
 
-// TestRowSpan pins Im2colU8's border arithmetic.
+// TestRowSpan pins the border arithmetic of one tap along one row: the
+// output columns [lo, hi) whose tap kx lands in the data. The gather
+// reads a padded 1×w row through ConvOffsets (kernel pad+1 tall, so tap
+// ky = pad hits the data row), and must stay inside the buffer and read
+// the data exactly on [lo, hi) and the 128 frame elsewhere, including a
+// strided tap right of the data and padding wider than the output.
 func TestRowSpan(t *testing.T) {
 	cases := []struct {
 		w, kx, stride, pad, outW int
@@ -342,19 +376,114 @@ func TestRowSpan(t *testing.T) {
 		{1, 0, 1, 2, 1, 1, 1}, // padding wider than the whole output
 	}
 	for _, c := range cases {
-		lo, hi := rowSpan(c.w, c.kx, c.stride, c.pad, c.outW)
-		if lo != c.lo || hi != c.hi {
-			t.Fatalf("rowSpan(%d,%d,%d,%d,%d) = (%d,%d), want (%d,%d)",
-				c.w, c.kx, c.stride, c.pad, c.outW, lo, hi, c.lo, c.hi)
+		src := make([]int32, c.w)
+		for i := range src {
+			src[i] = int32(i + 1) // never 0, so data never reads as frame
 		}
-		// Cross-check against the per-element predicate.
+		wp := c.w + 2*c.pad
+		padded := stale((1 + 2*c.pad) * wp)
+		PadU8(padded, src, 1, 1, c.w, c.pad)
+		kh, kw := c.pad+1, c.kx+1
+		colBase, tapOff := ConvOffsets(1, 1, c.w, kh, kw, c.stride, c.pad, 1, c.outW)
+		off := tapOff[c.pad*kw+c.kx]
 		for ox := 0; ox < c.outW; ox++ {
+			idx := colBase[ox] + off
+			if idx >= len(padded) {
+				t.Fatalf("%+v: ox=%d reads byte %d of a %d-byte buffer", c, ox, idx, len(padded))
+			}
 			ix := ox*c.stride + c.kx - c.pad
 			in := ix >= 0 && ix < c.w
-			if in != (ox >= lo && ox < hi) {
-				t.Fatalf("rowSpan(%d,%d,%d,%d,%d): ox=%d predicate mismatch",
-					c.w, c.kx, c.stride, c.pad, c.outW, ox)
+			if in != (ox >= c.lo && ox < c.hi) {
+				t.Fatalf("%+v: ox=%d predicate mismatch", c, ox)
+			}
+			want := uint8(128)
+			if in {
+				want = uint8(src[ix] + 128)
+			}
+			if padded[idx] != want {
+				t.Fatalf("%+v: ox=%d gathered %d, want %d", c, ox, padded[idx], want)
 			}
 		}
 	}
+}
+
+// TestPackConvBMatchesIm2colPackB pins the one-pass gather to the
+// two-pass lowering it replaces: PackConvB over PadU8's padded input
+// must write exactly the bytes PackB writes over the offset-u8 image of
+// the naive patch matrix. Both buffers start as stale bytes, so a frame
+// byte PadU8 skips or a panel byte PackConvB skips fails the test.
+// Hand-picked rows cover stride above the kernel, padding as wide as
+// the kernel or wider, a strided tap right of the data, padding wider
+// than the whole output, odd k, n off a multiple of 16 and 1×1
+// pointwise convs; seeded random geometries cover the rest.
+func TestPackConvBMatchesIm2colPackB(t *testing.T) {
+	type geom struct{ c, h, w, kh, kw, stride, pad int }
+	geoms := []geom{
+		{3, 8, 8, 3, 3, 1, 1},
+		{2, 7, 9, 3, 3, 2, 1},
+		{1, 6, 6, 3, 3, 1, 0},
+		{2, 9, 7, 5, 3, 2, 2},
+		{2, 8, 8, 3, 3, 1, 0},
+		{2, 8, 8, 3, 3, 1, 1},
+		{1, 7, 9, 3, 3, 2, 0},
+		{1, 7, 9, 3, 3, 2, 1},
+		{3, 9, 7, 5, 3, 2, 2},
+		{2, 6, 6, 1, 1, 1, 0}, // pointwise
+		{3, 8, 8, 1, 1, 2, 0}, // strided 1×1 projection
+		{1, 8, 8, 3, 3, 1, 1}, // left border from kx < pad, right from kx > pad
+		{1, 7, 7, 3, 3, 2, 1}, // strided left and right borders
+		{1, 4, 4, 7, 7, 1, 3}, // pad wider than the data
+		{1, 4, 4, 3, 3, 1, 3}, // pad wider than the kernel
+		{2, 2, 3, 2, 2, 2, 3}, // pad wider than the kernel, strided
+		{1, 2, 2, 5, 5, 2, 2}, // strided tap right of the data
+		{1, 3, 3, 5, 5, 2, 1}, // and with less padding than the tap
+		{1, 1, 1, 5, 5, 1, 2}, // padding wider than the whole output
+		{2, 9, 9, 1, 1, 3, 0}, // stride above the kernel
+		{1, 7, 7, 2, 2, 3, 1}, // stride above the kernel, padded
+	}
+	rng := rand.New(rand.NewSource(47))
+	for len(geoms) < 200 {
+		g := geom{c: 1 + rng.Intn(4), h: 1 + rng.Intn(12), w: 1 + rng.Intn(12),
+			stride: 1 + rng.Intn(4), pad: rng.Intn(5)}
+		g.kh = 1 + rng.Intn(min(6, g.h+2*g.pad))
+		g.kw = 1 + rng.Intn(min(6, g.w+2*g.pad))
+		geoms = append(geoms, g)
+	}
+	for _, g := range geoms {
+		outH := (g.h+2*g.pad-g.kh)/g.stride + 1
+		outW := (g.w+2*g.pad-g.kw)/g.stride + 1
+		src := randCodes(rng, g.c*g.h*g.w)
+		kk := g.c * g.kh * g.kw
+		n := outH * outW
+		patch := make([]int32, kk*n)
+		refIm2col(patch, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		u8 := make([]uint8, kk*n)
+		OffsetU8(u8, patch)
+		want := make([]uint8, PackBSize(kk, n))
+		PackB(want, u8, kk, n)
+
+		padded := stale(g.c * (g.h + 2*g.pad) * (g.w + 2*g.pad))
+		PadU8(padded, src, g.c, g.h, g.w, g.pad)
+		colBase, tapOff := ConvOffsets(g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		if len(colBase) != n || len(tapOff) != kk {
+			t.Fatalf("%+v: tables %d×%d, want %d×%d", g, len(tapOff), len(colBase), kk, n)
+		}
+		got := stale(len(want))
+		PackConvB(got, padded, colBase, tapOff)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: byte %d: gathered %d, im2col+PackB %d", g, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// stale returns n bytes of leftover arena content, which a kernel that
+// owns its output must overwrite.
+func stale(n int) []uint8 {
+	b := make([]uint8, n)
+	for i := range b {
+		b[i] = 0xAB
+	}
+	return b
 }

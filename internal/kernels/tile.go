@@ -4,32 +4,25 @@ import "strconv"
 
 // TuneVersion identifies the packed-kernel generation for the autotune
 // disk cache (internal/kernels/autotune). Bump it whenever a change to
-// the packed kernels, panel layouts, or the blocked drivers below could
+// the packed kernels, panel layouts, or the blocked driver below could
 // shift the performance ranking of tiles — stale picks are then ignored
 // because the cache file name embeds the version.
-const TuneVersion = 1
+const TuneVersion = 2
 
-// Tile is the blocking geometry of one packed-GEMM invocation. The
-// fields never change arithmetic — every output element accumulates its
-// full k depth in registers in a fixed order regardless of blocking, so
-// any Tile produces bit-identical results — they only reorder memory
+// Tile is the blocking geometry of one packed-GEMM invocation. It never
+// changes arithmetic — every output element accumulates its full k
+// depth in registers in a fixed order regardless of blocking, so any
+// Tile produces bit-identical results — it only reorders memory
 // traversal, which is what lets the autotuner pick by time alone.
 //
 //	MR: output-row block in rows (multiple of 4, the panel height). The
 //	    blocked driver walks row panels in MR-row groups, keeping each
 //	    A block resident while the packed B panels stream past; it is
 //	    also the granularity the intra-image fan-out hands a worker.
-//	KC: k-stripe height (even, the tap-pair depth) of the PackBBlocked
-//	    traversal: source rows are revisited stripe by stripe while
-//	    their cache lines are hot.
-//	NR: column block in columns (multiple of 16, the panel width) of
-//	    the PackBBlocked traversal; combined with KC it bounds the
-//	    source window one packing pass touches.
 //
-// The zero value (all fields 0) means "unblocked": whole-matrix
-// traversals, exactly the pre-tiling behaviour of PackB + Gemm8Rows.
+// The zero value means "unblocked": one pass over every row panel.
 type Tile struct {
-	MR, NR, KC int
+	MR int
 }
 
 // String renders the tile for cache files and logs.
@@ -37,35 +30,24 @@ func (t Tile) String() string {
 	if t == (Tile{}) {
 		return "unblocked"
 	}
-	return "mr" + strconv.Itoa(t.MR) + ":nr" + strconv.Itoa(t.NR) +
-		":kc" + strconv.Itoa(t.KC)
+	return "mr" + strconv.Itoa(t.MR)
 }
 
-// Normalize clamps a tile to the legal blocking grid of an m×n×k
-// problem: MR to whole 4-row panels within m, NR to whole 16-column
-// panels within n, KC to whole tap pairs within k. A field that is
-// unset, out of range, or covers the whole dimension collapses to 0
-// (unblocked), so equivalent tiles compare equal — the autotuner
-// deduplicates candidates on the normalized form.
-func (t Tile) Normalize(m, n, k int) Tile {
-	norm := func(v, unit, limit int) int {
-		if v <= 0 {
-			return 0
-		}
-		v -= v % unit
-		if v < unit {
-			v = unit
-		}
-		if v >= limit {
-			return 0
-		}
-		return v
+// Normalize clamps a tile to the legal blocking grid of an m-row
+// problem: MR to whole 4-row panels within m. An MR that is unset, out
+// of range, or covers every row collapses to 0 (unblocked), so
+// equivalent tiles compare equal — the autotuner deduplicates
+// candidates on the normalized form.
+func (t Tile) Normalize(m int) Tile {
+	mr := t.MR
+	if mr <= 0 {
+		return Tile{}
 	}
-	return Tile{
-		MR: norm(t.MR, 4, m),
-		NR: norm(t.NR, 16, n),
-		KC: norm(t.KC, 2, k),
+	mr = max(mr-mr%4, 4)
+	if mr >= m {
+		return Tile{}
 	}
+	return Tile{MR: mr}
 }
 
 // RowPanels converts a tile's MR (rows) into the row-panel block the
@@ -86,15 +68,13 @@ func RowPanels(mr, mp int) int {
 }
 
 // Gemm8Tuned is the single-threaded blocked driver over the packed
-// kernel: it packs the k×n offset-u8 matrix u8 into pb with the tile's
-// (NR, KC) traversal and computes row panels in MR-row blocks. Output
-// is bit-identical to PackB + Gemm8Rows for every tile (blocking only
-// reorders traversal); this is both the execution shape the plan
-// executor uses when it does not fan rows out and the exact loop the
-// autotuner times. pb must hold PackBSize(pa.K, n) bytes and dst m×n
-// int32s.
-func Gemm8Tuned(dst []int32, pa *PackedA, u8, pb []uint8, n int, t Tile, mult float64, lo, hi int32) {
-	PackBBlocked(pb, u8, pa.K, n, t.NR, t.KC)
+// kernel: it computes row panels in MR-row blocks against the packed B
+// panels pb (PackB or PackConvB output for pa.K × n). Output is
+// bit-identical to one Gemm8Rows over every panel for every tile
+// (blocking only reorders traversal); this is both the execution shape
+// the plan executor uses when it does not fan rows out and the exact
+// loop the autotuner times. dst must hold m×n int32s.
+func Gemm8Tuned(dst []int32, pa *PackedA, pb []uint8, n int, t Tile, mult float64, lo, hi int32) {
 	mrp := RowPanels(t.MR, pa.MP)
 	for p0 := 0; p0 < pa.MP; p0 += mrp {
 		p1 := p0 + mrp

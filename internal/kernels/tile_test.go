@@ -8,28 +8,28 @@ import (
 
 func TestTileNormalize(t *testing.T) {
 	cases := []struct {
-		in      Tile
-		m, n, k int
-		want    Tile
+		in   Tile
+		m    int
+		want Tile
 	}{
-		{Tile{}, 64, 64, 64, Tile{}},
-		{Tile{MR: 8, NR: 64, KC: 128}, 256, 256, 512, Tile{MR: 8, NR: 64, KC: 128}},
-		{Tile{MR: 7, NR: 17, KC: 3}, 256, 256, 512, Tile{MR: 4, NR: 16, KC: 2}}, // rounded to units
-		{Tile{MR: 64, NR: 256, KC: 512}, 8, 32, 16, Tile{}},                     // covers whole dims
-		{Tile{MR: 8, NR: 64, KC: 128}, 8, 64, 128, Tile{}},                      // exactly whole dims
-		{Tile{MR: -4, NR: -16, KC: -2}, 256, 256, 512, Tile{}},                  // negatives unset
-		{Tile{MR: 1, NR: 1, KC: 1}, 256, 256, 512, Tile{MR: 4, NR: 16, KC: 2}},  // below one unit
-		{Tile{MR: 8, NR: 300, KC: 64}, 64, 128, 32, Tile{MR: 8, NR: 0, KC: 0}},  // per-field collapse
+		{Tile{}, 64, Tile{}},
+		{Tile{MR: 8}, 256, Tile{MR: 8}},
+		{Tile{MR: 7}, 256, Tile{MR: 4}},  // rounded to whole panels
+		{Tile{MR: 64}, 8, Tile{}},        // covers every row
+		{Tile{MR: 8}, 8, Tile{}},         // exactly every row
+		{Tile{MR: -4}, 256, Tile{}},      // negative is unset
+		{Tile{MR: 1}, 256, Tile{MR: 4}},  // below one panel
+		{Tile{MR: 32}, 33, Tile{MR: 32}}, // one row short of covering
 	}
 	for _, c := range cases {
-		if got := c.in.Normalize(c.m, c.n, c.k); got != c.want {
-			t.Errorf("%v.Normalize(%d,%d,%d) = %v, want %v", c.in, c.m, c.n, c.k, got, c.want)
+		if got := c.in.Normalize(c.m); got != c.want {
+			t.Errorf("%v.Normalize(%d) = %v, want %v", c.in, c.m, got, c.want)
 		}
 	}
 	if s := (Tile{}).String(); s != "unblocked" {
 		t.Errorf("zero tile renders %q", s)
 	}
-	if s := (Tile{MR: 8, NR: 64, KC: 128}).String(); s != "mr8:nr64:kc128" {
+	if s := (Tile{MR: 8}).String(); s != "mr8" {
 		t.Errorf("tile renders %q", s)
 	}
 }
@@ -49,37 +49,6 @@ func TestRowPanels(t *testing.T) {
 	}
 }
 
-// TestPackBBlockedMatchesPackB pins the byte-identity the tuner rests
-// on: every (NR, KC) traversal writes exactly the bytes of the
-// unblocked pack, across odd/even k and every n%16 remainder.
-func TestPackBBlockedMatchesPackB(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	tiles := [][2]int{{0, 0}, {16, 2}, {16, 0}, {0, 2}, {32, 6}, {64, 128}, {48, 10}}
-	for _, k := range []int{1, 2, 7, 27, 130} {
-		for _, n := range []int{1, 15, 16, 17, 33, 64} {
-			src := make([]uint8, k*n)
-			for i := range src {
-				src[i] = uint8(1 + rng.Intn(255))
-			}
-			want := make([]uint8, PackBSize(k, n))
-			PackB(want, src, k, n)
-			for _, tile := range tiles {
-				got := make([]uint8, PackBSize(k, n))
-				for i := range got {
-					got[i] = 0xAA // canary: every byte must be written
-				}
-				PackBBlocked(got, src, k, n, tile[0], tile[1])
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("k=%d n=%d nr=%d kc=%d: byte %d: blocked=%#x, want %#x",
-							k, n, tile[0], tile[1], i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestGemm8TunedMatchesGemmRequant runs the full blocked driver — the
 // loop the autotuner times and the executor's single-threaded path —
 // against the naive GEMM + requant reference for every candidate-shaped
@@ -87,10 +56,7 @@ func TestPackBBlockedMatchesPackB(t *testing.T) {
 // the property that lets the tuner pick by time alone.
 func TestGemm8TunedMatchesGemmRequant(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	tiles := []Tile{
-		{}, {MR: 8}, {MR: 16}, {MR: 4, NR: 16, KC: 2},
-		{MR: 8, NR: 64, KC: 128}, {MR: 32, NR: 256, KC: 512},
-	}
+	tiles := []Tile{{}, {MR: 4}, {MR: 8}, {MR: 16}, {MR: 32}}
 	for _, m := range []int{1, 5, 12, 30} {
 		for _, n := range []int{1, 17, 64} {
 			for _, k := range []int{3, 27, 64} {
@@ -111,12 +77,13 @@ func TestGemm8TunedMatchesGemmRequant(t *testing.T) {
 				xu := make([]uint8, k*n)
 				OffsetU8(xu, x)
 				pb := make([]uint8, PackBSize(k, n))
+				PackB(pb, xu, k, n)
 				got := make([]int32, m*n)
 				for _, tile := range tiles {
 					for i := range got {
 						got[i] = math.MinInt32
 					}
-					Gemm8Tuned(got, pa, xu, pb, n, tile, mult, lo, hi)
+					Gemm8Tuned(got, pa, pb, n, tile, mult, lo, hi)
 					for i := range ref {
 						if got[i] != ref[i] {
 							t.Fatalf("m=%d n=%d k=%d tile=%v: element %d: tuned=%d, ref=%d",
